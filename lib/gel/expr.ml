@@ -10,7 +10,9 @@
 
    Expressions produced by the compilers are DAGs (layers share their
    predecessor), so every analysis and the evaluator memoise on physical
-   identity. *)
+   identity. Memo tables live for one call (or one pass, for passes that
+   query many nodes): nothing keeps an expression reachable once its
+   caller drops it. *)
 
 module Vec = Glql_tensor.Vec
 module Graph = Glql_graph.Graph
@@ -79,7 +81,9 @@ let free_vars_memoized () =
   in
   go
 
-let free_vars = free_vars_memoized ()
+(* Sorted free variables. The memo lives for this one call; passes that
+   ask about many nodes of one DAG share a [free_vars_memoized ()]. *)
+let free_vars e = free_vars_memoized () e
 
 let all_vars e =
   let memo = Memo.create 64 in
@@ -136,8 +140,9 @@ let dim_memoized () =
   go
 
 (* Dimension of an expression (slide 42); raises [Type_error] if the
-   expression is ill-formed. Globally memoized (physical identity). *)
-let dim = dim_memoized ()
+   expression is ill-formed. Memoized on physical identity for the
+   duration of this one call; see [dim_memoized] for passes. *)
+let dim e = dim_memoized () e
 
 (* Maximum nesting depth of aggregations — the number of message-passing
    rounds an MPNN expression performs. *)
@@ -183,6 +188,7 @@ let n_nodes e =
    between the bound and the free variable (neighbourhood aggregation) or
    is a global readout over a closed guard. *)
 let is_mpnn e =
+  let free_vars = free_vars_memoized () in
   let memo = Memo.create 64 in
   let rec check e =
     match Memo.find_opt memo e with
@@ -264,6 +270,7 @@ let rec enumerate n vars env k =
 
 let eval g e =
   let n = Graph.n_vertices g in
+  let dim = dim_memoized () and free_vars = free_vars_memoized () in
   let memo = Memo.create 64 in
   let max_var = List.fold_left max 0 (all_vars e) in
   let env = Array.make (max_var + 2) 0 in

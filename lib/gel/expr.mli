@@ -6,7 +6,9 @@
     database-style bottom-up materialisation of one table per
     subexpression. Expressions may share subterms (DAGs); all analyses and
     the evaluator memoise on physical identity, so build shared structure
-    with [let] bindings for efficiency. *)
+    with [let] bindings for efficiency. Every memo table lives for one
+    call (or one pass): the library keeps no expression reachable after
+    its caller drops it. *)
 
 module Vec = Glql_tensor.Vec
 module Graph = Glql_graph.Graph
@@ -30,6 +32,11 @@ exception Type_error of string
 (** Sorted free variables; [p = length (free_vars e)]. *)
 val free_vars : t -> var list
 
+(** A fresh [free_vars] whose physical-identity memo is shared by every
+    call made through it: a pass asking about many nodes of one DAG
+    creates one and drops it when done. *)
+val free_vars_memoized : unit -> t -> var list
+
 (** All variables, free and bound. *)
 val all_vars : t -> var list
 
@@ -38,6 +45,10 @@ val width : t -> int
 
 (** Output dimension; raises {!Type_error} on ill-formed expressions. *)
 val dim : t -> int
+
+(** A fresh [dim] with a memo shared across its calls, for passes (see
+    {!free_vars_memoized}). *)
+val dim_memoized : unit -> t -> int
 
 (** Maximum aggregation nesting depth (message-passing rounds). *)
 val agg_depth : t -> int

@@ -48,68 +48,68 @@ let deg ~x ~y = Expr.Agg (Agg.sum 1, [ y ], Expr.Const [| 1.0 |], Expr.Edge (x, 
 
 (* --- step 1: separation ------------------------------------------------- *)
 
-(* [push ~x ~y value] builds an expression over {x} equal to
-   sum_{y in N(x)} value(x, y). *)
-let rec push ~x ~y value =
-  let fv = Expr.free_vars value in
-  let d = Expr.dim value in
-  if fv = [] || fv = [ x ] then
-    (* Independent of y: the sum is deg(x) copies. *)
-    Expr.Apply (Func.scale_by d, [ value; deg ~x ~y ])
-  else if fv = [ y ] then Expr.Agg (Agg.sum d, [ y ], value, Expr.Edge (x, y))
-  else begin
-    match value with
-    | Expr.Edge (a, b) when (a = x && b = y) || (a = y && b = x) ->
-        (* sum_{y ~ x} E(x,y) = deg(x). *)
-        deg ~x ~y
-    | Expr.Cmp (Expr.Cneq, a, b) when (a = x && b = y) || (a = y && b = x) ->
-        (* Neighbours are never equal on simple graphs. *)
-        deg ~x ~y
-    | Expr.Cmp (Expr.Ceq, a, b) when (a = x && b = y) || (a = y && b = x) ->
-        Expr.Const [| 0.0 |]
-    | Expr.Apply (f, args) -> push_apply ~x ~y f args
-    | _ -> unsupported "cannot push sum through %s" (Expr.to_string value)
-  end
-
-and push_apply ~x ~y f args =
-  let open Func in
-  match (f.kind, args) with
-  | K_concat, _ ->
-      let pushed = List.map (push ~x ~y) args in
-      Expr.Apply (Func.concat (List.map Expr.dim pushed), pushed)
-  | K_linear (w, b), [ arg ] ->
-      (* sum (a W + b) = (sum a) W + deg * b *)
-      let bmat = Mat.init 1 (Vec.dim b) (fun _ j -> b.(j)) in
-      Expr.Apply
-        ( Func.linear_multi ~name:"pushed-linear" [ w; bmat ] (Vec.zeros (Vec.dim b)),
-          [ push ~x ~y arg; deg ~x ~y ] )
-  | K_linear_multi (ws, b), _ ->
-      let bmat = Mat.init 1 (Vec.dim b) (fun _ j -> b.(j)) in
-      Expr.Apply
-        ( Func.linear_multi ~name:"pushed-linear-multi" (ws @ [ bmat ]) (Vec.zeros (Vec.dim b)),
-          List.map (push ~x ~y) args @ [ deg ~x ~y ] )
-  | K_add, [ a; b ] -> Expr.Apply (f, [ push ~x ~y a; push ~x ~y b ])
-  | K_scale _, [ a ] -> Expr.Apply (f, [ push ~x ~y a ])
-  | K_product, [ a; b ] ->
-      let fa = Expr.free_vars a and fb = Expr.free_vars b in
-      let dprod = Expr.dim a in
-      if List.for_all (fun v -> v = x) fa then Expr.Apply (Func.product dprod, [ a; push ~x ~y b ])
-      else if List.for_all (fun v -> v = x) fb then
-        Expr.Apply (Func.product dprod, [ push ~x ~y a; b ])
-      else unsupported "product mixes the bound variable on both sides"
-  | K_scale_by, [ v; s ] ->
-      let fvv = Expr.free_vars v and fvs = Expr.free_vars s in
-      let dv = Expr.dim v in
-      if List.for_all (fun w -> w = x) fvs then Expr.Apply (Func.scale_by dv, [ push ~x ~y v; s ])
-      else if List.for_all (fun w -> w = x) fvv then
-        Expr.Apply (Func.scale_by dv, [ v; push ~x ~y s ])
-      else unsupported "scale-by mixes the bound variable on both sides"
-  | _ -> unsupported "cannot push sum through opaque function %s" f.name
-
 (* Rewrite so that every neighbourhood aggregation's value mentions only
    the bound variable. Memoised on physical identity to preserve DAG
-   sharing. *)
-let separate e =
+   sharing; [free_vars] and [dim] are the pass's shared analysis memos,
+   which also see the nodes the pass builds. *)
+let separate_with ~free_vars ~dim e =
+  (* [push ~x ~y value] builds an expression over {x} equal to
+     sum_{y in N(x)} value(x, y). *)
+  let rec push ~x ~y value =
+    let fv = free_vars value in
+    let d = dim value in
+    if fv = [] || fv = [ x ] then
+      (* Independent of y: the sum is deg(x) copies. *)
+      Expr.Apply (Func.scale_by d, [ value; deg ~x ~y ])
+    else if fv = [ y ] then Expr.Agg (Agg.sum d, [ y ], value, Expr.Edge (x, y))
+    else begin
+      match value with
+      | Expr.Edge (a, b) when (a = x && b = y) || (a = y && b = x) ->
+          (* sum_{y ~ x} E(x,y) = deg(x). *)
+          deg ~x ~y
+      | Expr.Cmp (Expr.Cneq, a, b) when (a = x && b = y) || (a = y && b = x) ->
+          (* Neighbours are never equal on simple graphs. *)
+          deg ~x ~y
+      | Expr.Cmp (Expr.Ceq, a, b) when (a = x && b = y) || (a = y && b = x) ->
+          Expr.Const [| 0.0 |]
+      | Expr.Apply (f, args) -> push_apply ~x ~y f args
+      | _ -> unsupported "cannot push sum through %s" (Expr.to_string value)
+    end
+  and push_apply ~x ~y f args =
+    let open Func in
+    match (f.kind, args) with
+    | K_concat, _ ->
+        let pushed = List.map (push ~x ~y) args in
+        Expr.Apply (Func.concat (List.map dim pushed), pushed)
+    | K_linear (w, b), [ arg ] ->
+        (* sum (a W + b) = (sum a) W + deg * b *)
+        let bmat = Mat.init 1 (Vec.dim b) (fun _ j -> b.(j)) in
+        Expr.Apply
+          ( Func.linear_multi ~name:"pushed-linear" [ w; bmat ] (Vec.zeros (Vec.dim b)),
+            [ push ~x ~y arg; deg ~x ~y ] )
+    | K_linear_multi (ws, b), _ ->
+        let bmat = Mat.init 1 (Vec.dim b) (fun _ j -> b.(j)) in
+        Expr.Apply
+          ( Func.linear_multi ~name:"pushed-linear-multi" (ws @ [ bmat ]) (Vec.zeros (Vec.dim b)),
+            List.map (push ~x ~y) args @ [ deg ~x ~y ] )
+    | K_add, [ a; b ] -> Expr.Apply (f, [ push ~x ~y a; push ~x ~y b ])
+    | K_scale _, [ a ] -> Expr.Apply (f, [ push ~x ~y a ])
+    | K_product, [ a; b ] ->
+        let fa = free_vars a and fb = free_vars b in
+        let dprod = dim a in
+        if List.for_all (fun v -> v = x) fa then Expr.Apply (Func.product dprod, [ a; push ~x ~y b ])
+        else if List.for_all (fun v -> v = x) fb then
+          Expr.Apply (Func.product dprod, [ push ~x ~y a; b ])
+        else unsupported "product mixes the bound variable on both sides"
+    | K_scale_by, [ v; s ] ->
+        let fvv = free_vars v and fvs = free_vars s in
+        let dv = dim v in
+        if List.for_all (fun w -> w = x) fvs then Expr.Apply (Func.scale_by dv, [ push ~x ~y v; s ])
+        else if List.for_all (fun w -> w = x) fvv then
+          Expr.Apply (Func.scale_by dv, [ v; push ~x ~y s ])
+        else unsupported "scale-by mixes the bound variable on both sides"
+    | _ -> unsupported "cannot push sum through opaque function %s" f.name
+  in
   let memo = Memo.create 64 in
   let rec go e =
     match Memo.find_opt memo e with
@@ -134,45 +134,115 @@ let separate e =
   in
   go e
 
+let separate e =
+  separate_with ~free_vars:(Expr.free_vars_memoized ()) ~dim:(Expr.dim_memoized ()) e
+
 (* --- step 2: layering ---------------------------------------------------- *)
 
-type slot = { msg_off : int; res_off : int; sdim : int; message : Expr.t }
+(* The layered program is compiled once, at [of_vertex_expr] time. Every
+   vertex owns a row of [feature_dim] floats: its labels in [0, d0), then
+   a message and a result slot per aggregation. A compiled [reader]
+   computes a single-variable value from one row — labels and the result
+   slots of earlier rounds — given the backing array and the row's base
+   offset, so the same closures serve the flat evaluator (one array of
+   n rows) and the exported layer functions (one row each). *)
+type reader = float array -> int -> Vec.t
+
+type slot = { msg_off : int; res_off : int; sdim : int; message : reader }
 
 type t = {
   d0 : int;
   feature_dim : int;
-  n_rounds : int;          (* aggregation depth L; the net has 2L layers *)
-  layers : Func.t list;
-  output : Func.t;
-  normal_expr : Expr.t;    (* the expression in normal-form shape *)
+  rounds : slot array array;  (* rounds.(t-1): the slots of the depth-t aggregations *)
+  read_output : reader;
+  layers : Func.t list;       (* the same program as 2L row functions, for [to_expr] *)
+  normal_expr : Expr.t;       (* the expression in normal-form shape *)
   separated : Expr.t;
 }
 
-(* Gather all (separated) aggregation nodes, deduplicated physically. *)
+(* Gather all (separated) aggregation nodes with their aggregation depth,
+   deduplicated physically; the list is reversed post-order (outer
+   aggregations first), which fixes the slot layout. *)
 let collect_aggs e =
-  let memo = Memo.create 64 in
+  let depth = Memo.create 64 in
   let out = ref [] in
   let rec go e =
-    if not (Memo.mem memo e) then begin
-      Memo.add memo e ();
-      match e with
-      | Expr.Lab _ | Expr.Const _ | Expr.Edge _ | Expr.Cmp _ -> ()
-      | Expr.Apply (_, args) -> List.iter go args
-      | Expr.Agg (_, _, value, guard) ->
-          go value;
-          go guard;
-          out := e :: !out
-    end
+    match Memo.find_opt depth e with
+    | Some d -> d
+    | None ->
+        let d =
+          match e with
+          | Expr.Lab _ | Expr.Const _ | Expr.Edge _ | Expr.Cmp _ -> 0
+          | Expr.Apply (_, args) -> List.fold_left (fun acc a -> max acc (go a)) 0 args
+          | Expr.Agg (_, _, value, guard) ->
+              let dv = go value in
+              let dg = go guard in
+              let d = 1 + max dv dg in
+              out := (e, d) :: !out;
+              d
+        in
+        Memo.add depth e d;
+        d
   in
-  go e;
-  !out
+  let n_rounds = go e in
+  (!out, n_rounds)
+
+(* Compile a separated single-variable expression into a [reader]. Each
+   DAG node is compiled once; [result_slot] resolves an aggregation node
+   to its result slot. Function nodes keep their [Func.t] closures, so a
+   compiled value is the same float computation as walking the tree. *)
+let compile_reader ~result_slot e : reader =
+  let memo = Memo.create 64 in
+  let rec go e =
+    match Memo.find_opt memo e with
+    | Some r -> r
+    | None ->
+        let r : reader =
+          match e with
+          | Expr.Const v -> fun _ _ -> v
+          | Expr.Lab (j, _) -> fun f b -> [| f.(b + j) |]
+          | Expr.Cmp (Expr.Ceq, a, b) when a = b -> fun _ _ -> [| 1.0 |]
+          | Expr.Cmp (Expr.Cneq, a, b) when a = b -> fun _ _ -> [| 0.0 |]
+          | Expr.Apply (fn, args) -> (
+              let apply = fn.Func.apply in
+              match List.map go args with
+              | [ r1 ] -> fun f b -> apply [ r1 f b ]
+              | [ r1; r2 ] ->
+                  fun f b ->
+                    let v1 = r1 f b in
+                    let v2 = r2 f b in
+                    apply [ v1; v2 ]
+              | rs -> fun f b -> apply (List.map (fun r -> r f b) rs))
+          | Expr.Agg _ ->
+              let off, d = result_slot e in
+              fun f b -> Array.sub f (b + off) d
+          | Expr.Edge _ | Expr.Cmp _ -> fun _ _ -> assert false
+        in
+        Memo.add memo e r;
+        r
+  in
+  go e
+
+(* Round t, step (a): write each depth-t message into its slot of the
+   row at [base]. Messages read only labels and earlier result slots, so
+   writing in place is safe. *)
+let write_messages slots (f : float array) base =
+  Array.iter
+    (fun s ->
+      let m = s.message f base in
+      let o = base + s.msg_off in
+      for j = 0 to s.sdim - 1 do
+        f.(o + j) <- m.(j)
+      done)
+    slots
 
 let of_vertex_expr_untraced e =
-  (match Expr.free_vars e with
+  let free_vars = Expr.free_vars_memoized () and dim = Expr.dim_memoized () in
+  (match free_vars e with
   | [ _ ] -> ()
   | _ -> invalid_arg "Normal_form.of_vertex_expr: need exactly one free variable");
   if not (Expr.is_mpnn e) then unsupported "expression is not in the MPNN fragment";
-  let sep = separate e in
+  let sep = separate_with ~free_vars ~dim e in
   let d0 =
     (* Label dimension actually used: max lab index + 1. *)
     let memo = Memo.create 64 in
@@ -192,81 +262,72 @@ let of_vertex_expr_untraced e =
     go sep;
     max 1 !m
   in
-  let aggs = collect_aggs sep in
-  (* Ignore the deg-guard constant aggregations?  No: all are genuine sum
-     aggregations; each gets slots.  Assign offsets. *)
-  let slots = Memo.create 16 in
+  let aggs, n_rounds = collect_aggs sep in
+  (* Every aggregation is a genuine sum aggregation and gets a message
+     slot and a result slot. Offsets are assigned first so the readers,
+     compiled next, can resolve any aggregation node. *)
+  let offsets = Memo.create 16 in
   let next = ref d0 in
-  let slot_list =
-    List.filter_map
-      (fun a ->
-        match a with
-        | Expr.Agg (_, _, value, _) ->
-            let sdim = Expr.dim value in
-            let s = { msg_off = !next; res_off = !next + sdim; sdim; message = value } in
-            next := !next + (2 * sdim);
-            Memo.add slots a s;
-            Some (a, s)
-        | _ -> None)
-      aggs
-  in
+  List.iter
+    (fun (a, _) ->
+      match a with
+      | Expr.Agg (_, _, value, _) ->
+          let sdim = dim value in
+          Memo.add offsets a (!next, sdim);
+          next := !next + (2 * sdim)
+      | _ -> ())
+    aggs;
   let feature_dim = !next in
-  let n_rounds = Expr.agg_depth sep in
-  (* Interpreter of a separated single-variable expression against a
-     feature vector of the vertex itself. *)
-  let rec interp e (f : Vec.t) : Vec.t =
-    match e with
-    | Expr.Const v -> v
-    | Expr.Lab (j, _) -> [| f.(j) |]
-    | Expr.Cmp (Expr.Ceq, a, b) when a = b -> [| 1.0 |]
-    | Expr.Cmp (Expr.Cneq, a, b) when a = b -> [| 0.0 |]
-    | Expr.Apply (fn, args) -> fn.Func.apply (List.map (fun a -> interp a f) args)
-    | Expr.Agg _ ->
-        let s = Memo.find slots e in
-        Array.sub f s.res_off s.sdim
-    | _ -> assert false
+  let result_slot a =
+    let off, sdim = Memo.find offsets a in
+    (off + sdim, sdim)
   in
-  (* Layers: for round t, a message layer then a collect layer. *)
-  let depth_of = Memo.create 16 in
-  List.iter (fun (a, _) -> Memo.add depth_of a (Expr.agg_depth a)) slot_list;
-  let make_message_layer t =
+  let compile = compile_reader ~result_slot in
+  let rounds =
+    Array.init n_rounds (fun i ->
+        List.filter_map
+          (fun (a, depth) ->
+            match a with
+            | Expr.Agg (_, _, value, _) when depth = i + 1 ->
+                let msg_off, sdim = Memo.find offsets a in
+                Some { msg_off; res_off = msg_off + sdim; sdim; message = compile value }
+            | _ -> None)
+          aggs
+        |> Array.of_list)
+  in
+  let read_output = compile sep in
+  (* The exported layers run the same program one row at a time: for
+     round t, a message layer then a collect layer that copies the
+     neighbourhood sum of the message columns into the result slots. *)
+  let make_message_layer t slots =
     Func.custom ~name:(Printf.sprintf "nf-msg-%d" t) ~in_dims:[ feature_dim; feature_dim ]
       ~out_dim:feature_dim (fun args ->
         match args with
         | [ self; _nbsum ] ->
             let out = Vec.copy self in
-            List.iter
-              (fun (a, s) ->
-                if Memo.find depth_of a = t then begin
-                  let m = interp s.message self in
-                  Array.blit m 0 out s.msg_off s.sdim
-                end)
-              slot_list;
+            write_messages slots out 0;
             out
         | _ -> assert false)
   in
-  let make_collect_layer t =
+  let make_collect_layer t slots =
     Func.custom ~name:(Printf.sprintf "nf-col-%d" t) ~in_dims:[ feature_dim; feature_dim ]
       ~out_dim:feature_dim (fun args ->
         match args with
         | [ self; nbsum ] ->
             let out = Vec.copy self in
-            List.iter
-              (fun (a, s) ->
-                if Memo.find depth_of a = t then
-                  Array.blit (Array.sub nbsum s.msg_off s.sdim) 0 out s.res_off s.sdim)
-              slot_list;
+            Array.iter (fun s -> Array.blit nbsum s.msg_off out s.res_off s.sdim) slots;
             out
         | _ -> assert false)
   in
   let layers =
-    List.concat_map (fun t -> [ make_message_layer t; make_collect_layer t ])
-      (List.init n_rounds (fun i -> i + 1))
+    List.concat
+      (List.init n_rounds (fun i ->
+           [ make_message_layer (i + 1) rounds.(i); make_collect_layer (i + 1) rounds.(i) ]))
   in
-  let out_dim = Expr.dim sep in
+  let out_dim = dim sep in
   let output =
     Func.custom ~name:"nf-out" ~in_dims:[ feature_dim ] ~out_dim (fun args ->
-        match args with [ f ] -> interp sep f | _ -> assert false)
+        match args with [ f ] -> read_output f 0 | _ -> assert false)
   in
   (* Normal-form expression: embed labels, then alternate layers. *)
   let x = Builder.x1 and y = Builder.x2 in
@@ -293,13 +354,13 @@ let of_vertex_expr_untraced e =
             step ~self:prev_y ~other:prev_x ~sv:y ~ov:x )
   in
   let normal_expr = Expr.Apply (output, [ stack layers (init x, init y) ]) in
-  { d0; feature_dim; n_rounds; layers; output; normal_expr; separated = sep }
+  { d0; feature_dim; rounds; read_output; layers; normal_expr; separated = sep }
 
 let of_vertex_expr e = Trace.with_span "layer" (fun () -> of_vertex_expr_untraced e)
 
 let to_expr nf = nf.normal_expr
 
-let n_rounds nf = nf.n_rounds
+let n_rounds nf = Array.length nf.rounds
 
 let separated nf = nf.separated
 
@@ -307,29 +368,46 @@ let n_layers nf = List.length nf.layers
 
 let feature_dim nf = nf.feature_dim
 
-(* Fast layered evaluation: one row per vertex. *)
+(* Flat layered evaluation: all rows in one float array. Round t (a)
+   writes the depth-t messages, then (b) sums only those message columns
+   over the CSR rows into the result slots, which are written once and
+   start at 0.0, in neighbour order — the float operations
+   of the row-at-a-time layers, in the same order, so results are
+   bit-identical to evaluating [to_expr]'s layers with full-width
+   neighbour sums. O(n + m) per round in the slot widths. *)
 let eval_untraced nf g =
   let n = Graph.n_vertices g in
-  let feat =
-    Array.init n (fun v ->
-        let f = Vec.zeros nf.feature_dim in
-        let l = Graph.label g v in
-        Array.blit l 0 f 0 (min (Vec.dim l) nf.d0);
-        f)
-  in
-  let current = ref feat in
-  List.iter
-    (fun layer ->
-      let prev = !current in
-      let nbsum =
-        Array.init n (fun v ->
-            let acc = Vec.zeros nf.feature_dim in
-            Array.iter (fun u -> Vec.add_inplace ~into:acc prev.(u)) (Graph.neighbors g v);
-            acc)
-      in
-      current := Array.init n (fun v -> layer.Func.apply [ prev.(v); nbsum.(v) ]))
-    nf.layers;
-  Array.map (fun f -> nf.output.Func.apply [ f ]) !current
+  let fd = nf.feature_dim in
+  let feat = Array.make (n * fd) 0.0 in
+  for v = 0 to n - 1 do
+    let l = Graph.label g v in
+    for j = 0 to min (Vec.dim l) nf.d0 - 1 do
+      feat.((v * fd) + j) <- l.(j)
+    done
+  done;
+  if Array.length nf.rounds > 0 then begin
+    let { Graph.Csr.offsets; adjacency; _ } = Graph.csr g in
+    Array.iter
+      (fun slots ->
+        for v = 0 to n - 1 do
+          write_messages slots feat (v * fd)
+        done;
+        for v = 0 to n - 1 do
+          let lo = offsets.(v) and hi = offsets.(v + 1) - 1 in
+          Array.iter
+            (fun s ->
+              let r = (v * fd) + s.res_off in
+              for i = lo to hi do
+                let m = (adjacency.(i) * fd) + s.msg_off in
+                for j = 0 to s.sdim - 1 do
+                  feat.(r + j) <- feat.(r + j) +. feat.(m + j)
+                done
+              done)
+            slots
+        done)
+      nf.rounds
+  end;
+  Array.init n (fun v -> nf.read_output feat (v * fd))
 
 let eval nf g = Trace.with_span "execute.layered" (fun () -> eval_untraced nf g)
 
@@ -351,7 +429,10 @@ let max_deviation nf e g =
    endpoints in canonical-id order, and binder lists print sorted — so
    alpha-equivalent and reordered queries key identically while distinct
    queries cannot collide (the rendering is injective on the canonalised
-   term). *)
+   term). The key is prefixed with the expression's width: renaming an
+   inner binder to a fresh variable is alpha-equivalence but changes the
+   fragment (GEL3 instead of MPNN) and hence the plan the server picks,
+   so such texts must not share a cache entry. *)
 
 module Sig_hash = Glql_util.Sig_hash
 
@@ -514,6 +595,7 @@ and cache_key_untraced e =
         Buffer.add_char buf ')';
         List.iter pop order
   in
+  bpr "w%d:" (Expr.width e);
   List.iter (fun v -> push v (next_id ())) (Expr.free_vars e);
   render e;
   Buffer.contents buf

@@ -48,7 +48,9 @@ val max_deviation : t -> Expr.t -> Graph.t -> float
     bound variables (and order-preserving renaming of free variables),
     reordering of binder lists, and the argument order of the symmetric
     atoms [E] and [1\[.=.\]] / [1\[.!=.\]]; structurally different queries
-    render to different keys. Weight-carrying functions are fingerprinted
+    render to different keys, and so do alpha-equivalent queries of
+    different width (the key embeds {!Expr.width}, which decides the
+    fragment and plan). Weight-carrying functions are fingerprinted
     by their parameters (linear maps) or by physical identity (MLPs,
     opaque customs) — the latter never collide but only share across
     physically shared nodes. Never raises. *)

@@ -119,7 +119,10 @@ let lex input =
 
 (* --- parser ---------------------------------------------------------------- *)
 
-type state = { mutable tokens : token list }
+(* [dim] is one memoized [Expr.dim] per parse: the parser asks for the
+   dimension of every subtree it combines, so a per-call memo would
+   rewalk each subtree at every enclosing node. *)
+type state = { mutable tokens : token list; dim : Expr.t -> int }
 
 let peek st = match st.tokens with [] -> None | t :: _ -> Some t
 
@@ -257,24 +260,24 @@ and parse_ident st name =
     expect st Tpipe;
     let guard = parse_expr st in
     expect st Trparen;
-    let d = Expr.dim value in
+    let d = st.dim value in
     (match aggregator_of_name agg_name d with
     | Some th -> Expr.Agg (th, ys, value, guard)
     | None -> error "unknown aggregator %S" agg_name)
   end
   else if name = "concat" then begin
     let args = parse_args st in
-    Expr.Apply (Func.concat (List.map Expr.dim args), args)
+    Expr.Apply (Func.concat (List.map st.dim args), args)
   end
   else if name = "product" then begin
     match parse_args st with
-    | [ a; b ] when Expr.dim a = Expr.dim b -> Expr.Apply (Func.product (Expr.dim a), [ a; b ])
+    | [ a; b ] when st.dim a = st.dim b -> Expr.Apply (Func.product (st.dim a), [ a; b ])
     | [ _; _ ] -> error "product arguments have different dimensions"
     | _ -> error "product takes exactly two arguments"
   end
   else if name = "add" then begin
     match parse_args st with
-    | [ a; b ] when Expr.dim a = Expr.dim b -> Expr.Apply (Func.add (Expr.dim a), [ a; b ])
+    | [ a; b ] when st.dim a = st.dim b -> Expr.Apply (Func.add (st.dim a), [ a; b ])
     | [ _; _ ] -> error "add arguments have different dimensions"
     | _ -> error "add takes exactly two arguments"
   end
@@ -286,24 +289,24 @@ and parse_ident st name =
     expect st Tlparen;
     let e = parse_expr st in
     expect st Trparen;
-    Expr.Apply (Func.scale c (Expr.dim e), [ e ])
+    Expr.Apply (Func.scale c (st.dim e), [ e ])
   end
   else begin
     match activation_of_name name with
     | Some act -> (
         match parse_args st with
-        | [ e ] -> Expr.Apply (Func.activation act (Expr.dim e), [ e ])
+        | [ e ] -> Expr.Apply (Func.activation act (st.dim e), [ e ])
         | _ -> error "%s takes exactly one argument" name)
     | None -> error "unknown identifier %S" name
   end
 
 let parse input =
   Glql_util.Trace.with_span "parse" (fun () ->
-      let st = { tokens = lex input } in
+      let st = { tokens = lex input; dim = Expr.dim_memoized () } in
       let e = parse_expr st in
       (match st.tokens with
       | [] -> ()
       | t :: _ -> error "trailing input starting at %S" (token_to_string t));
       (* Force a full well-formedness check. *)
-      ignore (Expr.dim e);
+      ignore (st.dim e);
       e)

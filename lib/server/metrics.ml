@@ -145,60 +145,71 @@ let requests t = with_lock t (fun () -> t.requests)
 
 let errors t = with_lock t (fun () -> t.errors)
 
-let ring_percentile ring ~filled p =
+(* Quantiles read a sorted copy of a ring's filled prefix: copied under
+   the lock, sorted once outside it, then read at any number of ranks. *)
+let sorted_percentile sorted p =
+  let filled = Array.length sorted in
   if filled = 0 then Float.nan
   else begin
-    let sorted = Array.sub ring 0 filled in
-    Array.sort compare sorted;
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int filled)) in
     let idx = max 0 (min (filled - 1) (rank - 1)) in
     float_of_int sorted.(idx)
   end
 
-let percentile_ns_locked t p = ring_percentile t.ring ~filled:(min t.requests window) p
-
-let percentile_ms t p = with_lock t (fun () -> percentile_ns_locked t p /. 1e6)
+let percentile_ms t p =
+  let copy = with_lock t (fun () -> Array.sub t.ring 0 (min t.requests window)) in
+  Array.sort Int.compare copy;
+  sorted_percentile copy p /. 1e6
 
 let to_json t ~extra =
   let open Protocol in
-  let fields =
+  (* Only copies happen under the lock that every [record] takes; the
+     sorts (65,536 ints for a full request ring) run after it is
+     released, once per ring. *)
+  let counters, ring, by_command, stages =
     with_lock t (fun () ->
-        let p50 = percentile_ns_locked t 50.0 /. 1e6 in
-        let p99 = percentile_ns_locked t 99.0 /. 1e6 in
-        [
-          ("uptime_s", Float (Clock.ns_to_s (Clock.elapsed_ns t.started_ns)));
-          ("requests", Int t.requests);
-          ("errors", Int t.errors);
-          ("bytes_in", Int t.bytes_in);
-          ("bytes_out", Int t.bytes_out);
-          ("conns_rejected", Int t.conns_rejected);
-          ("conns_dropped", Int t.conns_dropped);
-          ("batch_coalesced", Int t.batch_coalesced);
-          ("latency_p50_ms", Float p50);
-          ("latency_p99_ms", Float p99);
-          ( "by_command",
-            Obj
-              (Hashtbl.fold (fun k v acc -> (k, Int v) :: acc) t.by_command []
-              |> List.sort compare) );
-          ( "stages",
-            Obj
-              (Hashtbl.fold
-                 (fun name st acc ->
-                   let filled = min st.s_count stage_window in
-                   ( name,
-                     Obj
-                       [
-                         ("count", Int st.s_count);
-                         ("total_ms", Float (st.s_total_ns /. 1e6));
-                         ("p50_ms", Float (ring_percentile st.s_ring ~filled 50.0 /. 1e6));
-                         ("p99_ms", Float (ring_percentile st.s_ring ~filled 99.0 /. 1e6));
-                       ] )
-                   :: acc)
-                 t.by_stage []
-              |> List.sort compare) );
-        ])
+        ( [
+            ("uptime_s", Float (Clock.ns_to_s (Clock.elapsed_ns t.started_ns)));
+            ("requests", Int t.requests);
+            ("errors", Int t.errors);
+            ("bytes_in", Int t.bytes_in);
+            ("bytes_out", Int t.bytes_out);
+            ("conns_rejected", Int t.conns_rejected);
+            ("conns_dropped", Int t.conns_dropped);
+            ("batch_coalesced", Int t.batch_coalesced);
+          ],
+          Array.sub t.ring 0 (min t.requests window),
+          Hashtbl.fold (fun k v acc -> (k, Int v) :: acc) t.by_command [],
+          Hashtbl.fold
+            (fun name st acc ->
+              (name, st.s_count, st.s_total_ns, Array.sub st.s_ring 0 (min st.s_count stage_window))
+              :: acc)
+            t.by_stage [] ))
   in
-  Obj (fields @ extra)
+  Array.sort Int.compare ring;
+  let stages =
+    List.map
+      (fun (name, count, total_ns, ring) ->
+        Array.sort Int.compare ring;
+        ( name,
+          Obj
+            [
+              ("count", Int count);
+              ("total_ms", Float (total_ns /. 1e6));
+              ("p50_ms", Float (sorted_percentile ring 50.0 /. 1e6));
+              ("p99_ms", Float (sorted_percentile ring 99.0 /. 1e6));
+            ] ))
+      stages
+  in
+  Obj
+    (counters
+    @ [
+        ("latency_p50_ms", Float (sorted_percentile ring 50.0 /. 1e6));
+        ("latency_p99_ms", Float (sorted_percentile ring 99.0 /. 1e6));
+        ("by_command", Obj (List.sort compare by_command));
+        ("stages", Obj (List.sort compare stages));
+      ]
+    @ extra)
 
 let write_file t ~extra path =
   let oc = open_out path in

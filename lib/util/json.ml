@@ -34,7 +34,11 @@ let rec to_buffer buf = function
          %.17g would print the invalid literal "inf". *)
       if not (Float.is_finite f) then Buffer.add_string buf "null"
       else if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
+        (* Exact in an int below 1e15; prints what "%.0f" does, without
+           Printf's format interpretation on the reply hot path. Only
+           -0.0 needs care: "%.0f" keeps its sign. *)
+        Buffer.add_string buf
+          (if f = 0.0 && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
   | Str s -> escape_to buf s
   | List items ->

@@ -13,6 +13,7 @@ module Pool = Glql_util.Pool
 module Rng = Glql_util.Rng
 module Mat = Glql_tensor.Mat
 module Generators = Glql_graph.Generators
+module Graph = Glql_graph.Graph
 module Cr = Glql_wl.Color_refinement
 module Tree = Glql_hom.Tree
 module Count = Glql_hom.Count
@@ -477,6 +478,236 @@ let prop_hom_matches_reference =
       let g = random_graph seed ~n:(5 + (seed mod 8)) ~p:0.4 in
       float_array_eq (Count.profile trees6 g) (Reference.profile trees6 g))
 
+(* --- layered GEL evaluation vs the row-at-a-time reference ---------------- *)
+
+module Expr = Glql_gel.Expr
+module Func = Glql_gel.Func
+module B = Glql_gel.Builder
+module Normal_form = Glql_gel.Normal_form
+module Vec = Glql_tensor.Vec
+
+(* The layered evaluator before it was compiled to flat per-round
+   kernels, replayed from the separated expression: slots in
+   aggregation post-order, a tree-walking interpreter, a full-width
+   neighbour sum before every layer, one copied row per vertex per
+   layer. [Normal_form.eval] must reproduce it bit for bit. *)
+module Layered_reference = struct
+  module Graph = Glql_graph.Graph
+
+  module Memo = Hashtbl.Make (struct
+    type t = Expr.t
+
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end)
+
+  type slot = { msg_off : int; res_off : int; sdim : int; message : Expr.t }
+
+  let collect_aggs e =
+    let memo = Memo.create 64 in
+    let out = ref [] in
+    let rec go e =
+      if not (Memo.mem memo e) then begin
+        Memo.add memo e ();
+        match e with
+        | Expr.Lab _ | Expr.Const _ | Expr.Edge _ | Expr.Cmp _ -> ()
+        | Expr.Apply (_, args) -> List.iter go args
+        | Expr.Agg (_, _, value, guard) ->
+            go value;
+            go guard;
+            out := e :: !out
+      end
+    in
+    go e;
+    !out
+
+  (* (d0, feature_dim, layers, output) of the separated expression. *)
+  let compile sep =
+    let d0 =
+      let memo = Memo.create 64 in
+      let m = ref 0 in
+      let rec go e =
+        if not (Memo.mem memo e) then begin
+          Memo.add memo e ();
+          match e with
+          | Expr.Lab (j, _) -> m := max !m (j + 1)
+          | Expr.Const _ | Expr.Edge _ | Expr.Cmp _ -> ()
+          | Expr.Apply (_, args) -> List.iter go args
+          | Expr.Agg (_, _, v, g) ->
+              go v;
+              go g
+        end
+      in
+      go sep;
+      max 1 !m
+    in
+    let aggs = collect_aggs sep in
+    let slots = Memo.create 16 in
+    let next = ref d0 in
+    let slot_list =
+      List.filter_map
+        (fun a ->
+          match a with
+          | Expr.Agg (_, _, value, _) ->
+              let sdim = Expr.dim value in
+              let s = { msg_off = !next; res_off = !next + sdim; sdim; message = value } in
+              next := !next + (2 * sdim);
+              Memo.add slots a s;
+              Some (a, s)
+          | _ -> None)
+        aggs
+    in
+    let feature_dim = !next in
+    let n_rounds = Expr.agg_depth sep in
+    let rec interp e (f : Vec.t) : Vec.t =
+      match e with
+      | Expr.Const v -> v
+      | Expr.Lab (j, _) -> [| f.(j) |]
+      | Expr.Cmp (Expr.Ceq, a, b) when a = b -> [| 1.0 |]
+      | Expr.Cmp (Expr.Cneq, a, b) when a = b -> [| 0.0 |]
+      | Expr.Apply (fn, args) -> fn.Func.apply (List.map (fun a -> interp a f) args)
+      | Expr.Agg _ ->
+          let s = Memo.find slots e in
+          Array.sub f s.res_off s.sdim
+      | _ -> assert false
+    in
+    let depth_of = Memo.create 16 in
+    List.iter (fun (a, _) -> Memo.add depth_of a (Expr.agg_depth a)) slot_list;
+    let message_layer t self =
+      let out = Vec.copy self in
+      List.iter
+        (fun (a, s) ->
+          if Memo.find depth_of a = t then begin
+            let m = interp s.message self in
+            Array.blit m 0 out s.msg_off s.sdim
+          end)
+        slot_list;
+      out
+    in
+    let collect_layer t self nbsum =
+      let out = Vec.copy self in
+      List.iter
+        (fun (a, s) ->
+          if Memo.find depth_of a = t then
+            Array.blit (Array.sub nbsum s.msg_off s.sdim) 0 out s.res_off s.sdim)
+        slot_list;
+      out
+    in
+    let layers =
+      List.concat_map
+        (fun t -> [ (fun self _ -> message_layer t self); collect_layer t ])
+        (List.init n_rounds (fun i -> i + 1))
+    in
+    (d0, feature_dim, layers, interp sep)
+
+  let eval (d0, feature_dim, layers, output) g =
+    let n = Graph.n_vertices g in
+    let feat =
+      Array.init n (fun v ->
+          let f = Vec.zeros feature_dim in
+          let l = Graph.label g v in
+          Array.blit l 0 f 0 (min (Vec.dim l) d0);
+          f)
+    in
+    let current = ref feat in
+    List.iter
+      (fun layer ->
+        let prev = !current in
+        let nbsum =
+          Array.init n (fun v ->
+              let acc = Vec.zeros feature_dim in
+              Array.iter (fun u -> Vec.add_inplace ~into:acc prev.(u)) (Graph.neighbors g v);
+              acc)
+        in
+        current := Array.init n (fun v -> layer prev.(v) nbsum.(v)))
+      layers;
+    Array.map output !current
+
+  (* The same loop over the row functions [Normal_form.to_expr] exports:
+     Apply (output, [Apply (layer_2L, [... Apply (embed, _) ...; _]); _]). *)
+  let of_normal_expr nfe =
+    let rec chain e acc =
+      match e with
+      | Expr.Apply (f, [ self; _ ]) -> chain self ((fun a b -> f.Func.apply [ a; b ]) :: acc)
+      | Expr.Apply (embed, [ _ ]) -> (embed, acc)
+      | _ -> assert false
+    in
+    match nfe with
+    | Expr.Apply (output, [ body ]) ->
+        let embed, layers = chain body [] in
+        (List.hd embed.Func.in_dims, embed.Func.out_dim, layers, fun f -> output.Func.apply [ f ])
+    | _ -> assert false
+end
+
+(* Random MPNN(Omega, sum) expressions over x1/x2, mixing values the
+   separation step must push a sum through (products and sums with an
+   x-only side, bare degrees) with plain nested neighbour sums. *)
+let random_mpnn_expr rng ~label_dim ~depth =
+  let rec go depth x y =
+    let d = 1 + Rng.int rng 2 in
+    if depth = 0 then
+      match Rng.int rng 3 with
+      | 0 -> B.lab (Rng.int rng label_dim) x
+      | 1 -> B.const (Vec.init d (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
+      | _ -> B.degree ~x ~y
+    else
+      match Rng.int rng 7 with
+      | 0 ->
+          let a = go (depth - 1) x y in
+          B.linear
+            (Mat.gaussian rng (Expr.dim a) d ~stddev:0.7)
+            (Vec.gaussian rng d ~stddev:0.3) a
+      | 1 -> B.concat [ go (depth - 1) x y; go (depth - 1) x y ]
+      | 2 -> B.scale (Rng.uniform rng ~lo:(-2.0) ~hi:2.0) (go (depth - 1) x y)
+      | 3 -> B.relu (go (depth - 1) x y)
+      | 4 ->
+          (* A value mixing both variables: the sum is pushed through the
+             product / addition onto the y side. *)
+          let own = B.lab (Rng.int rng label_dim) x in
+          let other = B.sigmoid (B.lab (Rng.int rng label_dim) y) in
+          let mixed = if Rng.int rng 2 = 0 then B.mul own other else B.add own other in
+          B.sum_neighbors ~x ~y mixed
+      | _ -> B.sum_neighbors ~x ~y (go (depth - 1) y x)
+  in
+  let body = go depth B.x1 B.x2 in
+  if Expr.free_vars body = [ B.x1 ] then body else B.concat [ B.lab 0 B.x1; body ]
+
+(* Random, relabelled (including labels narrower than the expression
+   reads) and mutated graphs. *)
+let layered_graph seed =
+  let rng = Rng.create (seed + 5) in
+  let n = 2 + Rng.int rng 30 in
+  let g = random_graph seed ~n ~p:(Rng.uniform rng ~lo:0.05 ~hi:0.5) in
+  match seed mod 3 with
+  | 0 -> g
+  | 1 ->
+      let dim = 1 + Rng.int rng 3 in
+      Graph.with_labels g
+        (Array.init n (fun _ -> Vec.init dim (fun _ -> Rng.uniform rng ~lo:(-2.0) ~hi:2.0)))
+  | _ ->
+      let g = Graph.with_one_hot_labels g (Array.init n (fun _ -> Rng.int rng 3)) ~n_colors:3 in
+      let pair () =
+        let u = Rng.int rng n in
+        (u, (u + 1 + Rng.int rng (n - 1)) mod n)
+      in
+      Graph.mutate g
+        ~add_edges:(List.init 4 (fun _ -> pair ()))
+        ~del_edges:(List.init 2 (fun _ -> pair ()))
+        ~set_labels:[ (Rng.int rng n, [| 0.0; 1.0; 0.0 |]) ]
+
+let rows_bit_equal a b = Array.length a = Array.length b && Array.for_all2 float_array_eq a b
+
+let prop_layered_matches_reference =
+  qtest ~count:60 "layered eval == row-at-a-time reference (bit-equal)" seed_arb (fun seed ->
+      let e = random_mpnn_expr (Rng.create seed) ~label_dim:2 ~depth:(1 + (seed mod 4)) in
+      let nf = Normal_form.of_vertex_expr e in
+      let g = layered_graph seed in
+      let flat = Normal_form.eval nf g in
+      rows_bit_equal flat
+        (Layered_reference.eval (Layered_reference.compile (Normal_form.separated nf)) g)
+      && rows_bit_equal flat
+           (Layered_reference.eval (Layered_reference.of_normal_expr (Normal_form.to_expr nf)) g))
+
 (* --- ERM training --------------------------------------------------------- *)
 
 let molecules = Dataset.molecules (Rng.create 4) ~n_graphs:8 ~n_atoms:8 ~n_atom_types:3
@@ -594,6 +825,7 @@ let () =
           prop_wl_matches_reference;
           prop_propagate_matches_reference;
           prop_hom_matches_reference;
+          prop_layered_matches_reference;
         ] );
       ( "erm",
         [

@@ -131,6 +131,26 @@ let test_builder_prints_parseable () =
       B.triangles_at_x1 ();
     ]
 
+(* The analyses memoise per call, so a parsed expression is garbage once
+   its caller drops it: a long-lived process that parses the same text
+   again and again must not accumulate the results. *)
+let test_parse_retains_nothing () =
+  let src = "agg_sum{x2}(relu(agg_sum{x1}(lab0(x1) | E(x2,x1))) | E(x1,x2))" in
+  let n = 10_000 in
+  let weak = Weak.create n in
+  for i = 0 to n - 1 do
+    let e = Parser.parse src in
+    ignore (Expr.free_vars e);
+    ignore (Expr.is_mpnn e);
+    Weak.set weak i (Some e)
+  done;
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr alive
+  done;
+  check_int "parsed expressions still reachable" 0 !alive
+
 let suite =
   ( "parser",
     [
@@ -145,4 +165,5 @@ let suite =
       case "round trip syntax" test_round_trip_syntax;
       prop_round_trip_semantics;
       case "builder prints parseable" test_builder_prints_parseable;
+      case "parse retains nothing" test_parse_retains_nothing;
     ] )

@@ -63,6 +63,38 @@ let test_key_distinct_queries () =
   check_int "all distinct" (List.length keys)
     (List.length (List.sort_uniq compare keys))
 
+(* Alpha-equivalent texts of different width: renaming the inner binder
+   to a fresh x3 turns a 2-variable MPNN query into a 3-variable GEL one,
+   which gets a different fragment and plan, so the keys must differ. *)
+let two_var_nested = "agg_sum{x2}(agg_sum{x1}([1] | E(x2,x1)) | E(x1,x2))"
+
+let three_var_nested = "agg_sum{x2}(agg_sum{x3}([1] | E(x2,x3)) | E(x1,x2))"
+
+let test_key_width () =
+  check_bool "width separates alpha-equivalent texts" true
+    (key two_var_nested <> key three_var_nested)
+
+let test_plan_cache_no_fragment_aliasing () =
+  let expect_plan t src ~fragment ~plan =
+    let reply = Server.handle_line t (Printf.sprintf "QUERY g '%s'" src) in
+    check_bool (src ^ " ok") true (P.is_ok reply);
+    check_bool (src ^ " fragment " ^ fragment) true
+      (contains ~needle:(Printf.sprintf "\"fragment\":\"%s\"" fragment) reply);
+    check_bool (src ^ " plan " ^ plan) true
+      (contains ~needle:(Printf.sprintf "\"plan\":\"%s\"" plan) reply)
+  in
+  let two t = expect_plan t two_var_nested ~fragment:"MPNN" ~plan:"layered" in
+  let three t = expect_plan t three_var_nested ~fragment:"GEL3" ~plan:"direct" in
+  (* Either compile order: each text still reports its own plan. *)
+  List.iter
+    (fun (first, second) ->
+      let t = Server.create { Server.default_config with Server.socket_path = None } in
+      check_bool "load ok" true (P.is_ok (Server.handle_line t "LOAD g petersen"));
+      first t;
+      second t;
+      first t)
+    [ (two, three); (three, two) ]
+
 (* --- protocol ------------------------------------------------------------ *)
 
 let test_tokenize () =
@@ -552,6 +584,29 @@ let test_metrics_ring_wrap () =
     (Float.abs (p50 -. (float_of_int w /. 1e6)) < 1e-9);
   check_bool "p99 after wrap lands in the overwritten half" true
     (Float.abs (p99 -. 1000.0) < 1e-9)
+
+(* STATS quantiles are nearest-rank over the filled ring, the same
+   numbers whether the sort runs inside or outside the lock. *)
+let test_metrics_json_percentiles () =
+  let m = Glql_server.Metrics.create () in
+  let lat = [| 7; 3; 9; 1; 5; 3; 8; 2; 6; 4 |] in
+  Array.iter
+    (fun ns -> Glql_server.Metrics.record m ~command:"X" ~ok:true ~latency_ns:(Int64.of_int ns))
+    lat;
+  Glql_server.Metrics.record_stage m ~stage:"s" ~dur_ns:2_000_000;
+  Glql_server.Metrics.record_stage m ~stage:"s" ~dur_ns:1_000_000;
+  let json = Glql_server.Protocol.json_to_string (Glql_server.Metrics.to_json m ~extra:[]) in
+  let sorted = Array.copy lat in
+  Array.sort compare sorted;
+  let nearest p =
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int (Array.length sorted))) in
+    float_of_int sorted.(max 0 (rank - 1)) /. 1e6
+  in
+  check_float "p50 nearest rank" (nearest 50.0) (Option.get (float_after "latency_p50_ms" json));
+  check_float "p99 nearest rank" (nearest 99.0) (Option.get (float_after "latency_p99_ms" json));
+  check_float "percentile_ms agrees" (nearest 99.0) (Glql_server.Metrics.percentile_ms m 99.0);
+  check_bool "stage p50" true (contains ~needle:"\"p50_ms\":1," json);
+  check_bool "stage p99" true (contains ~needle:"\"p99_ms\":2}" json)
 
 (* --- persistence ---------------------------------------------------------- *)
 
@@ -1406,6 +1461,8 @@ let suite =
       case "cache key: symmetric edge args" test_key_symmetric_edge;
       case "cache key: binder reordering" test_key_binder_reordering;
       case "cache key: distinct queries differ" test_key_distinct_queries;
+      case "cache key: width separates fragments" test_key_width;
+      case "plan cache: no fragment aliasing" test_plan_cache_no_fragment_aliasing;
       case "protocol tokenizer" test_tokenize;
       case "protocol requests" test_parse_request_ok;
       case "protocol TRACE option" test_parse_request_trace_option;
@@ -1427,6 +1484,7 @@ let suite =
       case "handle_line: TRACE option" test_handle_line_trace_option;
       case "protocol version reporting" test_protocol_version_reporting;
       case "metrics ring wrap percentiles" test_metrics_ring_wrap;
+      case "metrics STATS percentiles" test_metrics_json_percentiles;
       case "persistence: SAVE/RESTORE round trip" test_save_restore_roundtrip;
       case "persistence: malformed snapshot leaves state" test_restore_malformed_leaves_state;
       case "persistence: reload after restore stays fresh" test_restore_then_reload_stays_fresh;

@@ -328,6 +328,41 @@ let prop_json_int_roundtrip =
       | Ok (Glql_util.Json.Int j) -> i = j
       | _ -> false)
 
+(* Integral floats print through string_of_int; the bytes must be those
+   of the "%.0f" / "%.17g" formatter they replace, signed zero and the
+   1e15 boundary included. *)
+let printf_float f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.17g" f
+
+let json_float_edges =
+  [ 0.0; -0.0; 1.0; -1.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15; 0.5; -0.5; Float.nan;
+    Float.infinity; Float.neg_infinity ]
+
+let test_json_float_edges () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (printf_float f)
+        (Glql_util.Json.to_string (Glql_util.Json.Float f)))
+    json_float_edges
+
+let prop_json_float_matches_printf =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl json_float_edges);
+          (4, map float_of_int (int_range (-999_999_999_999_999) 999_999_999_999_999));
+          (2, map float_of_int (int_range (-1000) 1000));
+          (1, map float_of_int int);
+          (1, float);
+        ])
+  in
+  qtest ~count:1000 "json float printing = printf formatter"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f -> Glql_util.Json.to_string (Glql_util.Json.Float f) = printf_float f)
+
 let suite =
   ( "util",
     [
@@ -363,4 +398,6 @@ let suite =
       prop_stable_hash_shard;
       case "json parse roundtrip" json_roundtrip_cases;
       prop_json_int_roundtrip;
+      case "json float edge cases" test_json_float_edges;
+      prop_json_float_matches_printf;
     ] )
