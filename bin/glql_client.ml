@@ -12,15 +12,16 @@
    --mutate GRAPH assembles one protocol-v5 MUTATE batch: the ops come
    from the remaining request words when given, otherwise one section
    per stdin line (e.g. "ADD_EDGES 0 1 1 2" / "SET_LABEL 3 1.0"), all
-   sent as a single atomic batch. Unlike other one-shot requests a
-   MUTATE is never replayed after a dropped connection — it is not
-   idempotent, and the server may have applied it before dying.
+   sent as a single atomic batch. --featurize GRAPH / --train MODEL /
+   --predict MODEL assemble the protocol-v6 model-serving commands the
+   same way (FEATURIZE takes the recipe and optional VERTEX/GRAPH mode,
+   TRAIN the ON/WITH/TARGET sections, PREDICT the graph and optional
+   vertices).
 
-   --featurize GRAPH / --train MODEL / --predict MODEL assemble the
-   protocol-v6 model-serving commands the same way (FEATURIZE takes the
-   recipe and optional VERTEX/GRAPH mode, TRAIN the ON/WITH/TARGET
-   sections, PREDICT the graph and optional vertices). TRAIN writes to
-   the model registry, so like MUTATE it is never replayed. *)
+   A one-shot request is resent once after a dropped connection unless
+   it writes state (LOAD, MUTATE, TRAIN, RESTORE, SHUTDOWN: see
+   Protocol.classify), however it was spelled: a write is not
+   idempotent, and the server may have applied it before dying. *)
 
 module P = Glql_server.Protocol
 
@@ -59,25 +60,8 @@ let connect_with_retry ~socket ~tcp =
   in
   go 1
 
-(* Pull the integer after ["protocol_version":] out of a HELLO reply
-   without a JSON parser (replies are one-line JSON objects). *)
 let scan_protocol_version reply =
-  let needle = "\"protocol_version\":" in
-  let nl = String.length needle in
-  let n = String.length reply in
-  let rec find i =
-    if i + nl > n then None
-    else if String.sub reply i nl = needle then begin
-      let j = ref (i + nl) in
-      let start = !j in
-      while !j < n && reply.[!j] >= '0' && reply.[!j] <= '9' do
-        incr j
-      done;
-      if !j > start then int_of_string_opt (String.sub reply start (!j - start)) else None
-    end
-    else find (i + 1)
-  in
-  find 0
+  Option.bind (P.payload reply) (Glql_util.Json.int_member "protocol_version")
 
 let quote_word w =
   if w = "" then "''"
@@ -86,32 +70,37 @@ let quote_word w =
     if String.contains w '\'' then "\"" ^ w ^ "\"" else "'" ^ w ^ "'"
   else w
 
+(* The one-command flags: flag, command word, help. *)
+let commands =
+  [
+    ( "--mutate",
+      "MUTATE",
+      "GRAPH send one MUTATE batch (ops from remaining words, else one section per stdin line)" );
+    ( "--featurize",
+      "FEATURIZE",
+      "GRAPH send one FEATURIZE (recipe and optional mode from the remaining words)" );
+    ( "--train",
+      "TRAIN",
+      "MODEL send one TRAIN (ON/WITH/TARGET sections from remaining words or stdin lines)" );
+    ( "--predict",
+      "PREDICT",
+      "MODEL send one PREDICT (graph and optional vertices from the remaining words)" );
+  ]
+
 let () =
   let socket = ref "glqld.sock" in
   let tcp = ref "" in
-  let mutate = ref "" in
-  let featurize = ref "" in
-  let train = ref "" in
-  let predict = ref "" in
+  let command = ref None in
   let words = ref [] in
   let spec =
     [
       ("--socket", Arg.Set_string socket, "PATH Unix-domain socket of glqld (default glqld.sock)");
       ("--tcp", Arg.Set_string tcp, "HOST:PORT connect over TCP instead");
-      ( "--mutate",
-        Arg.Set_string mutate,
-        "GRAPH send one MUTATE batch (ops from remaining words, else one section per stdin line)"
-      );
-      ( "--featurize",
-        Arg.Set_string featurize,
-        "GRAPH send one FEATURIZE (recipe and optional mode from the remaining words)" );
-      ( "--train",
-        Arg.Set_string train,
-        "MODEL send one TRAIN (ON/WITH/TARGET sections from remaining words or stdin lines)" );
-      ( "--predict",
-        Arg.Set_string predict,
-        "MODEL send one PREDICT (graph and optional vertices from the remaining words)" );
     ]
+    @ List.map
+        (fun (flag, word, doc) ->
+          (flag, Arg.String (fun arg -> command := Some (flag, word, arg)), doc))
+        commands
   in
   let usage = "glql_client: talk to a glqld server.\nusage: glql_client [options] [request words]" in
   Arg.parse spec (fun w -> words := w :: !words) usage;
@@ -173,9 +162,9 @@ let () =
             Some (P.is_ok reply)
         | exception End_of_file -> None
       in
-      (* Assemble a one-command batch line (MUTATE / FEATURIZE / TRAIN /
-         PREDICT): the tail comes from the request words when given,
-         otherwise one section per non-blank stdin line. *)
+      (* Assemble a one-command line from a flag of [commands]: the tail
+         comes from the request words when given, otherwise one section
+         per non-blank stdin line. *)
       let gather flag =
         let ops =
           match words with
@@ -197,22 +186,11 @@ let () =
         ops
       in
       let request =
-        if !mutate <> "" then
-          Some (String.concat " " ("MUTATE" :: quote_word !mutate :: gather "--mutate"), false)
-        else if !train <> "" then
-          (* Like MUTATE, a TRAIN is never replayed after a dropped
-             connection: it writes to the model registry and the server
-             may have committed it before dying. *)
-          Some (String.concat " " ("TRAIN" :: quote_word !train :: gather "--train"), false)
-        else if !featurize <> "" then
-          Some
-            (String.concat " " ("FEATURIZE" :: quote_word !featurize :: gather "--featurize"), true)
-        else if !predict <> "" then
-          Some (String.concat " " ("PREDICT" :: quote_word !predict :: gather "--predict"), true)
-        else
-          match words with
-          | [] -> None
-          | words -> Some (String.concat " " (List.map quote_word words), true)
+        match (!command, words) with
+        | Some (flag, word, arg), _ ->
+            Some (String.concat " " (word :: quote_word arg :: gather flag))
+        | None, [] -> None
+        | None, words -> Some (String.concat " " (List.map quote_word words))
       in
       match request with
       | None ->
@@ -234,17 +212,22 @@ let () =
            with End_of_file -> ());
           (try Unix.close fd with Unix.Unix_error _ -> ());
           exit (if !ok then 0 else 1)
-      | Some (line, replayable) ->
+      | Some line ->
+          let writes =
+            match P.parse_request line with
+            | Ok { P.req; _ } when (P.classify req).P.writes -> Some (P.command_name req)
+            | _ -> None
+          in
           let ok =
-            match roundtrip ic oc line with
-            | Some r -> r
-            | None when not replayable ->
-                (* A MUTATE may have been applied before the connection
-                   died; replaying could double-apply it. *)
-                prerr_endline
-                  "glql_client: server closed the connection (MUTATE is not replayed)";
+            match (roundtrip ic oc line, writes) with
+            | Some r, _ -> r
+            | None, Some cmd ->
+                (* A write may have been applied before the connection
+                   died; replaying could apply it twice. *)
+                Printf.eprintf "glql_client: server closed the connection (%s is not replayed)\n%!"
+                  cmd;
                 false
-            | None -> (
+            | None, None -> (
                 (* The server vanished mid-request (router restarting a
                    worker, daemon rolling over). One request is safe to
                    replay, so reconnect — with the same backoff — and

@@ -144,6 +144,7 @@ let () =
       let specs = Shard.plan ~exe ~base_socket ~extra ~shards:(max 1 !workers) in
       let router_config =
         {
+          Router.default_config with
           Router.socket_path = (if !no_socket then None else Some !socket);
           tcp_port = (if !tcp > 0 then Some !tcp else None);
           shards = max 1 !workers;
@@ -151,8 +152,6 @@ let () =
           max_connections = max 1 !max_conns;
           max_line_bytes = max 0 !max_line_bytes;
           max_inbuf_bytes = max 0 !max_inbuf;
-          boot_timeout_s = Router.default_config.Router.boot_timeout_s;
-          drain_timeout_s = Router.default_config.Router.drain_timeout_s;
           probe_interval_s = !probe_interval;
           probe_timeout_s = !probe_timeout;
           make_replica =

@@ -74,6 +74,11 @@ let err msg = err_line (error ~code:"ERR_INTERNAL" msg)
 let is_ok line =
   line = "OK" || (String.length line >= 3 && String.sub line 0 3 = "OK ")
 
+let payload line =
+  if is_ok line && String.length line > 3 then
+    Result.to_option (Glql_util.Json.parse (String.sub line 3 (String.length line - 3)))
+  else None
+
 (* One mutation op inside a MUTATE batch (v5). *)
 type mutation =
   | M_add_edge of int * int
@@ -324,11 +329,9 @@ let split_trace args =
   | last :: rest when String.uppercase_ascii last = "TRACE" -> (List.rev rest, true)
   | _ -> (args, false)
 
-let parse_request line =
-  match tokenize line with
-  | Error e -> Error e
-  | Ok [] -> Error "empty request"
-  | Ok (cmd :: args) ->
+let parse_tokens = function
+  | [] -> Error "empty request"
+  | cmd :: args ->
       let args, traced = split_trace args in
       let with_trace = Result.map (fun req -> { req; traced }) in
       with_trace
@@ -392,6 +395,14 @@ let parse_request line =
         | "SHUTDOWN", [] -> Ok Shutdown
         | c, _ -> Error (Printf.sprintf "unknown command %S" c))
 
+let parse_request line = Result.bind (tokenize line) parse_tokens
+
+let parse_line ~operator line =
+  Result.bind (tokenize line) (fun tokens ->
+      match operator tokens with
+      | Some op -> Ok (`Operator op)
+      | None -> Result.map (fun p -> `Request p) (parse_tokens tokens))
+
 let command_name = function
   | Hello -> "HELLO"
   | Ping -> "PING"
@@ -414,3 +425,20 @@ let command_name = function
   | Stats -> "STATS"
   | Quit -> "QUIT"
   | Shutdown -> "SHUTDOWN"
+
+(* What a request means to the serving layer, once for every command
+   (the consequences of [writes] are listed in the interface). *)
+type kind = { graph : string option; writes : bool }
+
+let classify req =
+  let first = function g :: _ -> Some g | [] -> None in
+  match req with
+  | Hello | Ping | Version | Graphs | Generators | Models | Save _ | Stats | Quit ->
+      { graph = None; writes = false }
+  | Restore _ | Shutdown -> { graph = None; writes = true }
+  | Load (g, _) | Mutate (g, _) -> { graph = Some g; writes = true }
+  | Train spec -> { graph = first spec.t_graphs; writes = true }
+  | Query (g, _) | Explain (g, _) | Wl (g, _) | Kwl (g, _) | Hom (g, _) | Featurize (g, _, _)
+  | Predict (_, g, _) ->
+      { graph = Some g; writes = false }
+  | Predict_batch (_, gs) -> { graph = first gs; writes = false }

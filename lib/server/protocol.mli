@@ -89,6 +89,9 @@ val err : string -> string
 (** Is this reply line an [OK]? *)
 val is_ok : string -> bool
 
+(** The JSON of an [OK <json>] reply line; [None] for anything else. *)
+val payload : string -> json option
+
 (** One mutation op of a v5 MUTATE batch. [M_set_label] carries the full
     replacement label vector of the vertex. *)
 type mutation =
@@ -158,6 +161,15 @@ val tokenize : string -> (string list, string) result
 (** Parse one request line; never raises. *)
 val parse_request : string -> (parsed, string) result
 
+(** {!parse_request} for a front that also answers command words of its
+    own (the router's TOPOLOGY / ROUTE / REPLICA): [operator] sees the
+    line's tokens first and may claim them, so a line is tokenized and
+    parsed once. *)
+val parse_line :
+  operator:(string list -> 'a option) ->
+  string ->
+  ([ `Request of parsed | `Operator of 'a ], string) result
+
 (** Parse the op tokens of a MUTATE batch (everything after the graph
     name): keyword-opened sections, repeatable, at least one op overall.
     Shared by the wire grammar and the clients' scriptable [--mutate]
@@ -174,3 +186,16 @@ val train_usage : string
 
 (** The command word of a request, for metrics labels. *)
 val command_name : request -> string
+
+(** What a request means to the serving layer, for every command in one
+    exhaustive match. [graph] is the graph it is placed by: the named
+    graph, the first source of a TRAIN, the first graph of a batched
+    PREDICT; [None] for session and registry-wide commands. [writes]
+    marks requests that change state a later request can observe (LOAD,
+    MUTATE, TRAIN, RESTORE, SHUTDOWN): the server runs each as a barrier
+    inside a batch, the router sends it to the primary and mirrors it to
+    the replicas, and glql_client never replays it after a dropped
+    connection. *)
+type kind = { graph : string option; writes : bool }
+
+val classify : request -> kind

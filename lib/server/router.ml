@@ -1,11 +1,11 @@
 (* The router front of the sharded glqld topology.
 
    Speaks the worker protocol *unchanged* to clients on one select loop
-   and multiplexes every request onto persistent nonblocking connections
-   to N shard workers (each a full glqld owning the graph names that
-   stable-hash to its shard, see {!Shard}). Graph-keyed commands (LOAD /
-   MUTATE / QUERY / EXPLAIN / WL / KWL / HOM / FEATURIZE / TRAIN /
-   PREDICT) forward verbatim to the owning shard, so their replies are
+   and multiplexes every request onto persistent {!Conn} connections to
+   N shard workers (each a full glqld owning the graph names that
+   stable-hash to its shard, see {!Shard}). Graph-keyed commands (the
+   graph and write flag of {!Protocol.classify}) forward verbatim to
+   the owning shard, so their replies are
    byte-identical to a single-process glqld holding the same registry —
    with one placement caveat: a model lives on the shard of its first
    TRAIN source graph, so PREDICT requires its feature graph to co-hash
@@ -79,8 +79,11 @@ let default_config =
 
 let shard_down_code = "ERR_SHARD_DOWN"
 
-let shard_down_line shard =
-  P.err_line (P.error ~code:shard_down_code (Printf.sprintf "shard %d is down" shard))
+let shard_down fmt = Printf.ksprintf (fun m -> P.err_line (P.error ~code:shard_down_code m)) fmt
+
+let shard_down_line shard = shard_down "shard %d is down" shard
+
+let no_shards_line = shard_down "no shards are up"
 
 (* --- pure reply merging -------------------------------------------------- *)
 
@@ -218,25 +221,15 @@ let merge_snapshots parts =
 
 (* --- topology state ------------------------------------------------------ *)
 
-type up = {
-  u_fd : Unix.file_descr;
-  u_lines : Line_buf.t;  (* reply framing from the worker *)
-  u_out : Buffer.t;  (* request bytes the worker socket has not accepted *)
-}
-
 type mstate =
   | Down
   | Connecting of int64  (* give-up deadline *)
-  | Up of up
+  | Up of unit Conn.t  (* the worker connection; replies pair with [m_pending] *)
 
-type client = {
-  c_fd : Unix.file_descr;
-  c_lines : Line_buf.t;
-  c_out : Buffer.t;
-  mutable c_closing : bool;  (* QUIT / EOF: close once slots drain *)
-  mutable c_dead : bool;  (* dropped: discard any late replies *)
-  c_slots : slot Queue.t;  (* replies owed, in request order *)
-}
+(* A client's state is the FIFO of replies it is owed, in request
+   order. QUIT / EOF close it once the slots drain; a broken client
+   discards any late replies. *)
+type client = slot Queue.t Conn.t
 
 and slot = {
   mutable s_reply : string option;
@@ -312,6 +305,7 @@ type t = {
   config : config;
   groups : group array;
   metrics : Metrics.t;
+  env : Conn.env;  (* shared by the client and upstream connections *)
   stop_flag : bool Atomic.t;
   (* Model name → owning shard, learned when a TRAIN passes through: a
      model lives on the shard of its first source graph, and a worker
@@ -324,55 +318,50 @@ type t = {
   model_shards : (string, int) Hashtbl.t;
 }
 
+let new_member ?notify spec =
+  {
+    m_spec = spec;
+    m_pid = None;
+    m_state = Down;
+    m_respawns = 0;
+    m_pending = Queue.create ();
+    m_notify = notify;
+    m_probe_sent = None;
+    m_last_probe = 0L;
+    m_last_pong = 0L;
+    m_probes_sent = 0;
+    m_pongs = 0;
+  }
+
+let log_to verbose s = if verbose then Printf.eprintf "glqld-router: %s\n%!" s
+
+let log t fmt = Printf.ksprintf (log_to t.config.verbose) fmt
+
 let create config specs =
   if config.shards <= 0 then invalid_arg "Router.create: shards must be positive";
   let groups =
-    Array.init config.shards (fun i -> { g_shard = i; g_members = []; g_rr = 0 })
+    Array.init config.shards (fun i ->
+        (* The primary heads the member list regardless of spec order. *)
+        let primaries, replicas =
+          List.filter (fun spec -> spec.Shard.sp_shard = i) specs
+          |> List.partition (fun spec -> spec.Shard.sp_role = Shard.Primary)
+        in
+        if primaries = [] then
+          invalid_arg (Printf.sprintf "Router.create: shard %d has no primary" i);
+        let members = List.map (fun spec -> new_member spec) (primaries @ replicas) in
+        { g_shard = i; g_members = members; g_rr = 0 })
   in
-  List.iter
-    (fun spec ->
-      let m =
-        {
-          m_spec = spec;
-          m_pid = None;
-          m_state = Down;
-          m_respawns = 0;
-          m_pending = Queue.create ();
-          m_notify = None;
-          m_probe_sent = None;
-          m_last_probe = 0L;
-          m_last_pong = 0L;
-          m_probes_sent = 0;
-          m_pongs = 0;
-        }
-      in
-      let g = groups.(spec.Shard.sp_shard) in
-      (* Keep the primary at the head regardless of spec order. *)
-      match spec.Shard.sp_role with
-      | Shard.Primary -> g.g_members <- (m :: g.g_members)
-      | Shard.Replica _ -> g.g_members <- g.g_members @ [ m ])
-    specs;
-  Array.iter
-    (fun g ->
-      let primaries, replicas =
-        List.partition (fun m -> m.m_spec.Shard.sp_role = Shard.Primary) g.g_members
-      in
-      g.g_members <- primaries @ replicas;
-      if primaries = [] then
-        invalid_arg (Printf.sprintf "Router.create: shard %d has no primary" g.g_shard))
-    groups;
+  let metrics = Metrics.create () in
   {
     config;
     groups;
-    metrics = Metrics.create ();
+    metrics;
+    env = Conn.env ~metrics ~log:(log_to config.verbose);
     stop_flag = Atomic.make false;
     model_shards = Hashtbl.create 16;
   }
 
 let stop t = Atomic.set t.stop_flag true
-
-let log t fmt =
-  Printf.ksprintf (fun s -> if t.config.verbose then Printf.eprintf "glqld-router: %s\n%!" s) fmt
 
 let all_members t =
   Array.to_list t.groups |> List.concat_map (fun g -> g.g_members)
@@ -383,75 +372,32 @@ let role_label m = Shard.role_label m.m_spec.Shard.sp_role
 
 (* --- client side --------------------------------------------------------- *)
 
-(* Identical push-what-the-socket-accepts discipline as the server's
-   client loop: one slow reader can never wedge the select loop. *)
-let flush_buffer t fd buf ~on_fail =
-  let pending = Buffer.length buf in
-  if pending > 0 then begin
-    let s = Buffer.contents buf in
-    let written = ref 0 in
-    let failed = ref false in
-    let stop_ = ref false in
-    while (not !stop_) && !written < pending do
-      match Unix.write_substring fd s !written (pending - !written) with
-      | 0 -> stop_ := true
-      | n -> written := !written + n
-      | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) ->
-          stop_ := true
-      | exception Unix.Unix_error _ ->
-          failed := true;
-          stop_ := true
-    done;
-    if !written > 0 then Metrics.add_io t.metrics ~bytes_in:0 ~bytes_out:!written;
-    Buffer.clear buf;
-    if !failed then on_fail ()
-    else if !written < pending then Buffer.add_string buf (String.sub s !written (pending - !written))
-  end
-
-let max_client_outbuf = 8 * 1024 * 1024
-
-let flush_client t c =
-  flush_buffer t c.c_fd c.c_out ~on_fail:(fun () ->
-      c.c_dead <- true;
-      c.c_closing <- true)
-
 (* Move completed head slots into the outbuf; later slots wait their turn. *)
-let pump_client t c =
-  if not c.c_dead then begin
-    let moved = ref false in
-    let continue_ = ref true in
-    while !continue_ do
-      match Queue.peek_opt c.c_slots with
-      | Some { s_reply = Some line; _ } ->
-          ignore (Queue.pop c.c_slots);
-          Buffer.add_string c.c_out line;
-          Buffer.add_char c.c_out '\n';
-          moved := true
-      | _ -> continue_ := false
-    done;
-    if !moved then begin
-      flush_client t c;
-      if Buffer.length c.c_out > max_client_outbuf then begin
-        log t "dropping client with %d unsent reply bytes (not reading)" (Buffer.length c.c_out);
-        Metrics.conn_dropped t.metrics;
-        Buffer.clear c.c_out;
-        c.c_dead <- true;
-        c.c_closing <- true
-      end
-    end
-  end
+let pump_client c =
+  let moved = ref false in
+  let rec go () =
+    match Queue.peek_opt c.Conn.data with
+    | Some { s_reply = Some line; _ } ->
+        ignore (Queue.pop c.Conn.data);
+        Conn.add_line c line;
+        moved := true;
+        go ()
+    | _ -> ()
+  in
+  go ();
+  if !moved then Conn.push c
 
 let fill_slot t slot line =
   if slot.s_reply = None then begin
     slot.s_reply <- Some line;
     Metrics.record t.metrics ~command:slot.s_cmd ~ok:(P.is_ok line)
       ~latency_ns:(Int64.sub (Clock.now_ns ()) slot.s_t0);
-    pump_client t slot.s_client
+    pump_client slot.s_client
   end
 
-let new_slot c cmd =
-  let slot = { s_reply = None; s_client = c; s_cmd = cmd; s_t0 = Clock.now_ns () } in
-  Queue.push slot c.c_slots;
+let new_slot c cmd t0 =
+  let slot = { s_reply = None; s_client = c; s_cmd = cmd; s_t0 = t0 } in
+  Queue.push slot c.Conn.data;
   slot
 
 (* --- upstream side ------------------------------------------------------- *)
@@ -475,19 +421,32 @@ let fail_dest t shard dest =
       mg.mg_deferred <- [];
       fill_slot t slot (shard_down_line shard)
   | Part (agg, i) -> complete_part t agg i None
-  | Mirror _ -> ()
-  | Discard -> ()
-  | Probe -> ()
+  | Mirror _ | Discard | Probe -> ()
   | Replica_save (slot, _) ->
-      fill_slot t slot
-        (P.err_line
-           (P.error ~code:shard_down_code
-              (Printf.sprintf "shard %d primary died during replica snapshot" shard)))
+      fill_slot t slot (shard_down "shard %d primary died during replica snapshot" shard)
+
+(* Answer the REPLICA caller waiting on this member's first accept. *)
+let notify t m line =
+  Option.iter
+    (fun slot ->
+      m.m_notify <- None;
+      fill_slot t slot line)
+    m.m_notify
+
+(* Launch a managed member (an externally managed one only gets the
+   boot window) and start connecting to it. *)
+let start_member t m =
+  (match m.m_spec.Shard.sp_argv with
+  | Some argv ->
+      let pid = Shard.spawn argv in
+      m.m_pid <- Some pid;
+      log t "shard %d %s spawned as pid %d" m.m_spec.Shard.sp_shard (role_label m) pid
+  | None -> ());
+  m.m_state <-
+    Connecting (Int64.add (Clock.now_ns ()) (Int64.of_float (t.config.boot_timeout_s *. 1e9)))
 
 let rec member_down t m reason =
-  (match m.m_state with
-  | Up u -> ( try Unix.close u.u_fd with Unix.Unix_error _ -> ())
-  | _ -> ());
+  (match m.m_state with Up u -> Conn.close_fd u.Conn.fd | _ -> ());
   m.m_state <- Down;
   let shard = m.m_spec.Shard.sp_shard in
   log t "shard %d %s down: %s (%d in-flight failed)" shard (role_label m) reason
@@ -496,33 +455,24 @@ let rec member_down t m reason =
   Queue.clear m.m_pending;
   m.m_probe_sent <- None;
   m.m_last_probe <- 0L;
-  (match m.m_notify with
-  | Some slot ->
-      m.m_notify <- None;
-      fill_slot t slot
-        (P.err_line (P.error ~code:shard_down_code (Printf.sprintf "shard %d member died booting" shard)))
-  | None -> ());
+  notify t m (shard_down "shard %d member died booting" shard);
   if t.config.respawn && m.m_spec.Shard.sp_argv <> None && m.m_respawns < 5 then begin
     m.m_respawns <- m.m_respawns + 1;
-    let argv = Option.get m.m_spec.Shard.sp_argv in
-    let pid = Shard.spawn argv in
-    m.m_pid <- Some pid;
-    m.m_state <-
-      Connecting (Int64.add (Clock.now_ns ()) (Int64.of_float (t.config.boot_timeout_s *. 1e9)));
-    log t "shard %d %s respawned as pid %d (attempt %d)" shard (role_label m) pid m.m_respawns
+    log t "shard %d %s respawn attempt %d" shard (role_label m) m.m_respawns;
+    start_member t m
   end
 
 and flush_member t m =
   match m.m_state with
   | Up u ->
-      flush_buffer t u.u_fd u.u_out ~on_fail:(fun () -> member_down t m "write failed")
+      Conn.flush u;
+      if u.Conn.broken then member_down t m "write failed"
   | _ -> ()
 
 let send_upstream t m line dest =
   match m.m_state with
   | Up u ->
-      Buffer.add_string u.u_out line;
-      Buffer.add_char u.u_out '\n';
+      Conn.add_line u line;
       Queue.push dest m.m_pending;
       flush_member t m
   | _ -> fail_dest t m.m_spec.Shard.sp_shard dest
@@ -537,32 +487,22 @@ let try_connect t m =
           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           match Unix.connect fd (Unix.ADDR_UNIX sock) with
           | () ->
-              Unix.set_nonblock fd;
               m.m_state <-
                 Up
-                  {
-                    u_fd = fd;
-                    u_lines =
-                      Line_buf.create ~max_line_bytes:upstream_line_cap
-                        ~max_buf_bytes:upstream_line_cap ();
-                    u_out = Buffer.create 256;
-                  };
+                  (Conn.wrap t.env ~max_line_bytes:upstream_line_cap
+                     ~max_buf_bytes:upstream_line_cap fd ());
               log t "shard %d %s up on %s" m.m_spec.Shard.sp_shard (role_label m) sock;
-              (match m.m_notify with
-              | Some slot ->
-                  m.m_notify <- None;
-                  fill_slot t slot
-                    (P.ok
-                       (P.Obj
-                          [
-                            ("shard", P.Int m.m_spec.Shard.sp_shard);
-                            ("role", P.Str (role_label m));
-                            ("socket", P.Str sock);
-                          ]))
-              | None -> ());
+              notify t m
+                (P.ok
+                   (P.Obj
+                      [
+                        ("shard", P.Int m.m_spec.Shard.sp_shard);
+                        ("role", P.Str (role_label m));
+                        ("socket", P.Str sock);
+                      ]));
               true
           | exception Unix.Unix_error _ ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
+              Conn.close_fd fd;
               false
         end
         else false
@@ -571,14 +511,7 @@ let try_connect t m =
         m.m_state <- Down;
         log t "shard %d %s failed to come up within %.1fs" m.m_spec.Shard.sp_shard (role_label m)
           t.config.boot_timeout_s;
-        match m.m_notify with
-        | Some slot ->
-            m.m_notify <- None;
-            fill_slot t slot
-              (P.err_line
-                 (P.error ~code:shard_down_code
-                    (Printf.sprintf "shard %d replica failed to start" m.m_spec.Shard.sp_shard)))
-        | None -> ()
+        notify t m (shard_down "shard %d replica failed to start" m.m_spec.Shard.sp_shard)
       end
   | _ -> ()
 
@@ -602,10 +535,9 @@ let quote_word w =
   else "\"" ^ w ^ "\""
 
 let pick_read g =
-  let ups = List.filter is_up g.g_members in
-  match ups with
+  match List.filter is_up g.g_members with
   | [] -> None
-  | _ ->
+  | ups ->
       let m = List.nth ups (g.g_rr mod List.length ups) in
       g.g_rr <- g.g_rr + 1;
       Some m
@@ -652,7 +584,7 @@ let router_stats_json t =
    down members contribute a [None] part immediately. *)
 let fanout t slot targets ~line_for ~finish =
   match targets with
-  | [] -> fill_slot t slot (P.err_line (P.error ~code:shard_down_code "no shards are up"))
+  | [] -> fill_slot t slot no_shards_line
   | _ ->
       let parts =
         Array.of_list
@@ -666,20 +598,13 @@ let fanout t slot targets ~line_for ~finish =
           | _ -> complete_part t agg i None)
         targets
 
-(* Parse the payload of an OK reply line; None for ERR / absent / unparsable. *)
-let payload_of = function
-  | None -> None
-  | Some line ->
-      if P.is_ok line && String.length line > 3 then
-        match Json.parse (String.sub line 3 (String.length line - 3)) with
-        | Ok j -> Some j
-        | Error _ -> None
-      else None
+(* The payload of a part's OK reply; None for ERR / absent / unparsable. *)
+let payload_of r = Option.bind r P.payload
 
 let finish_version parts =
   let oks = Array.to_list parts |> List.filter_map (fun (_, _, r) -> r) |> List.filter P.is_ok in
   match oks with
-  | [] -> P.err_line (P.error ~code:shard_down_code "no shards are up")
+  | [] -> no_shards_line
   | first :: rest ->
       if List.for_all (( = ) first) rest then first
       else
@@ -698,10 +623,11 @@ let finish_version parts =
                             ])) );
              ])
 
-let finish_graphs parts =
-  let payloads = Array.to_list parts |> List.filter_map (fun (_, _, r) -> payload_of r) in
-  if payloads = [] then P.err_line (P.error ~code:shard_down_code "no shards are up")
-  else P.ok (merge_graphs payloads)
+(* GRAPHS / MODELS: merge whatever the live shards answered. *)
+let finish_merge merge parts =
+  match Array.to_list parts |> List.filter_map (fun (_, _, r) -> payload_of r) with
+  | [] -> no_shards_line
+  | payloads -> P.ok (merge payloads)
 
 let finish_stats t parts =
   let jparts =
@@ -709,10 +635,10 @@ let finish_stats t parts =
   in
   P.ok (merge_stats ~router:(router_stats_json t) ~shards:t.config.shards ~parts:jparts)
 
-let finish_snapshots parts =
-  (* Any failing shard fails the whole operation: a partial snapshot set
-     silently missing a shard would restore into silent data loss. The
-     first failure line (already a classified ERR) forwards verbatim. *)
+(* All-or-nothing merges: the first failing part's line (already a
+   classified ERR) forwards verbatim; otherwise [k] gets every part's
+   (shard, payload). *)
+let finish_all parts k =
   let first_err =
     Array.to_list parts
     |> List.find_map (fun (shard, _, r) ->
@@ -724,12 +650,13 @@ let finish_snapshots parts =
   match first_err with
   | Some line -> line
   | None ->
-      let payloads =
-        Array.to_list parts
-        |> List.filter_map (fun (shard, _, r) ->
-               match payload_of r with Some j -> Some (shard, j) | None -> None)
-      in
-      P.ok (merge_snapshots payloads)
+      k
+        (Array.to_list parts
+        |> List.filter_map (fun (shard, _, r) -> Option.map (fun j -> (shard, j)) (payload_of r)))
+
+(* Any failing shard fails a SAVE / RESTORE: a partial snapshot set
+   silently missing a shard would restore into silent data loss. *)
+let finish_snapshots parts = finish_all parts (fun payloads -> P.ok (merge_snapshots payloads))
 
 (* Merge the sub-batch replies of a fanned batched PREDICT. Chunks are
    contiguous in request order, so forwarding the first failing part
@@ -739,44 +666,34 @@ let finish_snapshots parts =
    and the envelope is rebuilt in the worker's exact field order, which
    round-trips byte-identically through {!Json}. *)
 let finish_predict_batch model ~graphs parts =
-  let first_err =
-    Array.to_list parts
-    |> List.find_map (fun (shard, _, r) ->
-           match r with
-           | None -> Some (shard_down_line shard)
-           | Some line when not (P.is_ok line) -> Some line
-           | Some _ -> None)
+  finish_all parts @@ fun parts ->
+  let payloads = List.map snd parts in
+  let field name p = match p with P.Obj fields -> List.assoc_opt name fields | _ -> None in
+  let batch =
+    List.concat_map
+      (fun p -> match field "batch" p with Some (P.List items) -> items | _ -> [])
+      payloads
   in
-  match first_err with
-  | Some line -> line
-  | None ->
-      let payloads = Array.to_list parts |> List.filter_map (fun (_, _, r) -> payload_of r) in
-      let field name p = match p with P.Obj fields -> List.assoc_opt name fields | _ -> None in
-      let batch =
-        List.concat_map
-          (fun p -> match field "batch" p with Some (P.List items) -> items | _ -> [])
-          payloads
-      in
-      if List.length batch <> graphs then
-        P.err_line
-          (P.error ~code:"ERR_INTERNAL"
-             (Printf.sprintf "batched PREDICT merge produced %d of %d rows" (List.length batch)
-                graphs))
-      else
-        let first name =
-          match payloads with
-          | p :: _ -> Option.value ~default:P.Null (field name p)
-          | [] -> P.Null
-        in
-        P.ok
-          (P.Obj
-             [
-               ("model", P.Str model);
-               ("task", first "task");
-               ("mode", first "mode");
-               ("graphs", P.Int graphs);
-               ("batch", P.List batch);
-             ])
+  if List.length batch <> graphs then
+    P.err_line
+      (P.error ~code:"ERR_INTERNAL"
+         (Printf.sprintf "batched PREDICT merge produced %d of %d rows" (List.length batch)
+            graphs))
+  else
+    let first name =
+      match payloads with
+      | p :: _ -> Option.value ~default:P.Null (field name p)
+      | [] -> P.Null
+    in
+    P.ok
+      (P.Obj
+         [
+           ("model", P.Str model);
+           ("task", first "task");
+           ("mode", first "mode");
+           ("graphs", P.Int graphs);
+           ("batch", P.List batch);
+         ])
 
 let primaries t = Array.to_list t.groups |> List.map (fun g -> List.hd g.g_members)
 
@@ -810,38 +727,6 @@ let start_replica t slot shard =
                 (Replica_save (slot, spec))
         end
 
-let handle_replica_saved t slot spec line =
-  if not (P.is_ok line) then fill_slot t slot line
-  else begin
-    let m =
-      {
-        m_spec = spec;
-        m_pid = None;
-        m_state = Down;
-        m_respawns = 0;
-        m_pending = Queue.create ();
-        m_notify = Some slot;
-        m_probe_sent = None;
-        m_last_probe = 0L;
-        m_last_pong = 0L;
-        m_probes_sent = 0;
-        m_pongs = 0;
-      }
-    in
-    (match spec.Shard.sp_argv with
-    | Some argv ->
-        let pid = Shard.spawn argv in
-        m.m_pid <- Some pid;
-        m.m_state <-
-          Connecting (Int64.add (Clock.now_ns ()) (Int64.of_float (t.config.boot_timeout_s *. 1e9)));
-        log t "shard %d %s spawning as pid %d" spec.Shard.sp_shard (Shard.role_label spec.Shard.sp_role) pid
-    | None ->
-        m.m_state <-
-          Connecting (Int64.add (Clock.now_ns ()) (Int64.of_float (t.config.boot_timeout_s *. 1e9))));
-    let g = t.groups.(spec.Shard.sp_shard) in
-    g.g_members <- g.g_members @ [ m ]
-  end
-
 let mirror_diverged = "mirrored write failed where the primary succeeded"
 
 let dispatch_reply t m dest line =
@@ -866,11 +751,19 @@ let dispatch_reply t m dest line =
       m.m_probe_sent <- None;
       m.m_last_pong <- Clock.now_ns ();
       m.m_pongs <- m.m_pongs + 1
-  | Replica_save (slot, spec) -> handle_replica_saved t slot spec line
+  | Replica_save (slot, _) when not (P.is_ok line) -> fill_slot t slot line
+  | Replica_save (slot, spec) ->
+      (* The snapshot shipped: boot the replica on it; its first accept
+         answers the REPLICA caller. *)
+      let m = new_member ~notify:slot spec in
+      start_member t m;
+      let g = t.groups.(spec.Shard.sp_shard) in
+      g.g_members <- g.g_members @ [ m ]
 
 (* Router-local commands (TOPOLOGY / ROUTE / REPLICA) are deliberately
    *not* in {!Protocol}: the client protocol is v4 unchanged, and these
-   are operator commands of the topology layer only. *)
+   are operator commands of the topology layer only. They claim their
+   tokens through {!Protocol.parse_line}, so each line is parsed once. *)
 type router_cmd = Topology | Route of string | Replica_of of int
 
 let router_cmd_of_tokens = function
@@ -890,246 +783,176 @@ let route_write t slot g line =
   List.iter (fun m -> if is_up m then send_upstream t m line (Mirror mg)) (List.tl g.g_members);
   send_upstream t primary line (Write_primary (slot, mg))
 
+(* Each shard snapshots to its own file: <path>.shardI when a path was
+   given, the worker's own --snapshot default otherwise. *)
+let per_shard cmd requested m =
+  match requested with
+  | Some path ->
+      Printf.sprintf "%s %s" cmd
+        (quote_word (Printf.sprintf "%s.shard%d" path m.m_spec.Shard.sp_shard))
+  | None -> cmd
+
 let handle_client_line t c line =
-  let cmd_label =
-    match String.index_opt line ' ' with
-    | Some i -> String.uppercase_ascii (String.sub line 0 i)
-    | None -> String.uppercase_ascii line
+  let t0 = Clock.now_ns () in
+  let parsed = P.parse_line ~operator:router_cmd_of_tokens line in
+  (* STATS labels come from the grammar, so garbage cannot mint keys. *)
+  let label =
+    match parsed with
+    | Ok (`Operator Topology) -> "TOPOLOGY"
+    | Ok (`Operator (Route _)) -> "ROUTE"
+    | Ok (`Operator (Replica_of _)) -> "REPLICA"
+    | Ok (`Request { P.req; _ }) -> P.command_name req
+    | Error _ -> "INVALID"
   in
-  let slot = new_slot c cmd_label in
+  let slot = new_slot c label t0 in
   let local reply = fill_slot t slot reply in
-  match P.tokenize line with
+  let bad_arg msg = local (P.err_line (P.error ~code:"ERR_BAD_ARG" msg)) in
+  (* PREDICT needs the model AND its feature graphs on one worker: a
+     worker can only featurize graphs it owns, and the model lives on
+     the shard of its first TRAIN source. When the router saw that TRAIN
+     it knows the model's shard, and a PREDICT whose graphs hash
+     elsewhere is rejected up front with the constraint spelled out. *)
+  let with_model_on model shard ~what k =
+    match Hashtbl.find_opt t.model_shards model with
+    | Some owner when owner <> shard ->
+        bad_arg
+          (Printf.sprintf
+             "model %S lives on shard %d but %s to shard %d: PREDICT through the router needs \
+              the graph co-hashed with the model's first TRAIN source"
+             model owner what shard)
+    | _ -> k ()
+  in
+  let read_from g =
+    match pick_read g with
+    | Some m -> send_upstream t m line (To_slot slot)
+    | None -> local (shard_down_line g.g_shard)
+  in
+  match parsed with
   | Error msg -> local (P.err_line (P.error ~code:"ERR_PARSE" msg))
-  | Ok tokens -> (
-      match router_cmd_of_tokens tokens with
-      | Some Topology -> local (P.ok (topology_json t))
-      | Some (Route name) ->
-          let shard = Shard.id_of_name ~shards:t.config.shards name in
+  | Ok (`Operator Topology) -> local (P.ok (topology_json t))
+  | Ok (`Operator (Route name)) ->
+      let shard = Shard.id_of_name ~shards:t.config.shards name in
+      local
+        (P.ok
+           (P.Obj
+              [
+                ("graph", P.Str name);
+                ("shard", P.Int shard);
+                ("members", P.List (List.map member_json t.groups.(shard).g_members));
+              ]))
+  | Ok (`Operator (Replica_of shard)) -> start_replica t slot shard
+  | Ok (`Request { P.req; _ }) -> (
+      match req with
+      | P.Hello ->
           local
             (P.ok
                (P.Obj
-                  [
-                    ("graph", P.Str name);
-                    ("shard", P.Int shard);
-                    ("members", P.List (List.map member_json t.groups.(shard).g_members));
-                  ]))
-      | Some (Replica_of shard) -> start_replica t slot shard
-      | None -> (
-          match P.parse_request line with
-          | Error msg -> local (P.err_line (P.error ~code:"ERR_PARSE" msg))
-          | Ok { P.req; _ } -> (
-              match req with
-              | P.Hello ->
-                  local
-                    (P.ok
-                       (P.Obj
-                          [
-                            ("server", P.Str "glqld");
-                            ("version", P.Str Server.version);
-                            ("protocol_version", P.Int P.protocol_version);
-                            ("role", P.Str "router");
-                            ("shards", P.Int t.config.shards);
-                          ]))
-              | P.Ping -> local (P.ok (P.Str "pong"))
-              | P.Quit ->
-                  local (P.ok (P.Str "bye"));
-                  c.c_closing <- true
-              | P.Shutdown ->
-                  List.iter
-                    (fun m -> if is_up m then send_upstream t m "SHUTDOWN" Discard)
-                    (all_members t);
-                  local (P.ok (P.Str "shutting down"));
-                  Atomic.set t.stop_flag true
-              | P.Version ->
-                  fanout t slot (primaries t) ~line_for:(fun _ -> "VERSION") ~finish:finish_version
-              | P.Graphs ->
-                  fanout t slot (primaries t) ~line_for:(fun _ -> "GRAPHS") ~finish:finish_graphs
-              | P.Stats ->
-                  fanout t slot (all_members t) ~line_for:(fun _ -> "STATS")
-                    ~finish:(fun parts -> finish_stats t parts)
-              | P.Generators -> (
-                  match List.find_opt is_up (all_members t) with
-                  | Some m -> send_upstream t m line (To_slot slot)
-                  | None ->
-                      local (P.err_line (P.error ~code:shard_down_code "no shards are up")))
-              | P.Load (name, _) ->
-                  (* Mirror writes to live replicas so they stay in sync;
-                     the client's reply is the primary's, verbatim. *)
-                  route_write t slot (group_for t name) line
-              | P.Mutate (name, _) ->
-                  (* MUTATE is a write like LOAD: the primary answers, live
-                     replicas apply the same batch so their generation and
-                     graph state advance in lockstep. *)
-                  route_write t slot (group_for t name) line
-              | P.Query (name, _) | P.Explain (name, _) | P.Wl (name, _) | P.Kwl (name, _)
-              | P.Hom (name, _)
-              | P.Featurize (name, _, _) -> (
-                  (* FEATURIZE is a read keyed by the graph, round-robin
-                     like QUERY. *)
-                  let g = group_for t name in
-                  match pick_read g with
-                  | Some m -> send_upstream t m line (To_slot slot)
-                  | None -> local (shard_down_line g.g_shard))
-              | P.Predict (model, name, _) -> (
-                  (* PREDICT needs the model AND the feature graph on one
-                     worker (a worker can only featurize graphs it owns,
-                     and the model lives on the shard of its first TRAIN
-                     source). When the router saw that TRAIN it knows the
-                     model's shard and rejects a cross-shard PREDICT up
-                     front with the actual constraint; otherwise it
-                     routes by graph and round-robins across the group,
-                     whose replicas mirrored the TRAIN. *)
-                  let g = group_for t name in
-                  match Hashtbl.find_opt t.model_shards model with
-                  | Some owner when owner <> g.g_shard ->
-                      local
-                        (P.err_line
-                           (P.error ~code:"ERR_BAD_ARG"
-                              (Printf.sprintf
-                                 "model %S lives on shard %d but graph %S hashes to shard %d: \
-                                  PREDICT through the router needs the graph co-hashed with the \
-                                  model's first TRAIN source"
-                                 model owner name g.g_shard)))
-                  | _ -> (
-                      match pick_read g with
-                      | Some m -> send_upstream t m line (To_slot slot)
-                      | None -> local (shard_down_line g.g_shard)))
-              | P.Predict_batch (model, graphs) -> (
-                  (* Batched PREDICT fans the read across the owning
-                     group's live members: the graph list splits into
-                     contiguous chunks, each member answers its sub-batch
-                     with the same wire form, and the router concatenates
-                     the ["batch"] arrays back into request order (see
-                     {!finish_predict_batch}). Every graph must co-hash
-                     with the model, like single PREDICT. *)
-                  let shards_hit =
-                    List.sort_uniq compare
-                      (List.map (fun g -> Shard.id_of_name ~shards:t.config.shards g) graphs)
+                  (Server.identity
+                  @ [ ("role", P.Str "router"); ("shards", P.Int t.config.shards) ])))
+      | P.Ping -> local (P.ok (P.Str "pong"))
+      | P.Quit ->
+          local (P.ok (P.Str "bye"));
+          c.Conn.closing <- true
+      | P.Shutdown ->
+          List.iter
+            (fun m -> if is_up m then send_upstream t m "SHUTDOWN" Discard)
+            (all_members t);
+          local (P.ok (P.Str "shutting down"));
+          Atomic.set t.stop_flag true
+      | P.Version ->
+          fanout t slot (primaries t) ~line_for:(fun _ -> "VERSION") ~finish:finish_version
+      | P.Graphs ->
+          fanout t slot (primaries t) ~line_for:(fun _ -> "GRAPHS")
+            ~finish:(finish_merge merge_graphs)
+      | P.Stats ->
+          fanout t slot (all_members t) ~line_for:(fun _ -> "STATS")
+            ~finish:(fun parts -> finish_stats t parts)
+      | P.Generators -> (
+          match List.find_opt is_up (all_members t) with
+          | Some m -> send_upstream t m line (To_slot slot)
+          | None -> local no_shards_line)
+      | P.Models ->
+          fanout t slot (primaries t) ~line_for:(fun _ -> "MODELS")
+            ~finish:(finish_merge merge_models)
+      | P.Save requested ->
+          (* Primaries only — a replica writing the same per-shard file
+             would race it. *)
+          fanout t slot (primaries t) ~line_for:(per_shard "SAVE" requested)
+            ~finish:finish_snapshots
+      | P.Restore requested ->
+          (* Replicas restore the same per-shard file so the whole shard
+             group converges on the restored state. *)
+          let line_for = per_shard "RESTORE" requested in
+          List.iter
+            (fun m ->
+              if m.m_spec.Shard.sp_role <> Shard.Primary && is_up m then
+                send_upstream t m (line_for m) Discard)
+            (all_members t);
+          fanout t slot (primaries t) ~line_for ~finish:finish_snapshots
+      | P.Predict_batch (model, graphs) -> (
+          (* Batched PREDICT fans the read across the owning group's
+             live members: the graph list splits into contiguous chunks,
+             each member answers its sub-batch with the same wire form,
+             and the router concatenates the ["batch"] arrays back into
+             request order (see {!finish_predict_batch}). Every graph
+             must co-hash with the model, like single PREDICT. *)
+          let shards_hit =
+            List.sort_uniq compare
+              (List.map (fun g -> Shard.id_of_name ~shards:t.config.shards g) graphs)
+          in
+          match shards_hit with
+          | [] -> bad_arg "PREDICT ON: empty graph list"
+          | _ :: _ :: _ ->
+              bad_arg
+                (Printf.sprintf
+                   "batched PREDICT through the router needs every graph on one shard, but these \
+                    hash to shards %s: co-hash the graph names with the model's first TRAIN \
+                    source"
+                   (String.concat ", " (List.map string_of_int shards_hit)))
+          | [ shard ] -> (
+              let g = t.groups.(shard) in
+              with_model_on model shard ~what:"the graphs hash" @@ fun () ->
+              match List.filter is_up g.g_members with
+              | [] -> local (shard_down_line shard)
+              | [ _ ] ->
+                  (* One live member: forward verbatim (keeps any
+                     TRACE suffix, trivially byte-equal). *)
+                  read_from g
+              | ups ->
+                  let n = List.length graphs in
+                  let k = min (List.length ups) n in
+                  let chunk_size = (n + k - 1) / k in
+                  let parts =
+                    List.init ((n + chunk_size - 1) / chunk_size) (fun j ->
+                        List.filteri (fun i _ -> i / chunk_size = j) graphs)
                   in
-                  match shards_hit with
-                  | [] -> local (P.err_line (P.error ~code:"ERR_BAD_ARG" "PREDICT ON: empty graph list"))
-                  | _ :: _ :: _ ->
-                      local
-                        (P.err_line
-                           (P.error ~code:"ERR_BAD_ARG"
-                              (Printf.sprintf
-                                 "batched PREDICT through the router needs every graph on one \
-                                  shard, but these hash to shards %s: co-hash the graph names \
-                                  with the model's first TRAIN source"
-                                 (String.concat ", " (List.map string_of_int shards_hit)))))
-                  | [ shard ] -> (
-                      let g = t.groups.(shard) in
-                      match Hashtbl.find_opt t.model_shards model with
-                      | Some owner when owner <> shard ->
-                          local
-                            (P.err_line
-                               (P.error ~code:"ERR_BAD_ARG"
-                                  (Printf.sprintf
-                                     "model %S lives on shard %d but the graphs hash to shard %d: \
-                                      PREDICT through the router needs the graph co-hashed with \
-                                      the model's first TRAIN source"
-                                     model owner shard)))
-                      | _ -> (
-                          match List.filter is_up g.g_members with
-                          | [] -> local (shard_down_line shard)
-                          | [ _ ] -> (
-                              (* One live member: forward verbatim (keeps
-                                 any TRACE suffix, trivially byte-equal). *)
-                              match pick_read g with
-                              | Some m -> send_upstream t m line (To_slot slot)
-                              | None -> local (shard_down_line shard))
-                          | ups ->
-                              let n = List.length graphs in
-                              let k = min (List.length ups) n in
-                              let chunk_size = (n + k - 1) / k in
-                              let rec chunks = function
-                                | [] -> []
-                                | xs ->
-                                    let rec take i = function
-                                      | x :: rest when i < chunk_size ->
-                                          let hd, tl = take (i + 1) rest in
-                                          (x :: hd, tl)
-                                      | rest -> ([], rest)
-                                    in
-                                    let hd, tl = take 0 xs in
-                                    hd :: chunks tl
-                              in
-                              let parts_graphs = chunks graphs in
-                              let targets =
-                                List.filteri (fun i _ -> i < List.length parts_graphs) ups
-                              in
-                              let assignments = List.combine targets parts_graphs in
-                              fanout t slot targets
-                                ~line_for:(fun m ->
-                                  Printf.sprintf "PREDICT %s ON %s" (quote_word model)
-                                    (quote_word (String.concat "," (List.assq m assignments))))
-                                ~finish:(finish_predict_batch model ~graphs:n))))
-              | P.Train spec -> (
-                  (* TRAIN is a write keyed by its *first* source graph:
-                     the primary answers and live replicas run the same
-                     fit so PREDICT can round-robin across the group. A
-                     multi-graph TRAIN needs all its graphs on one shard
-                     (co-hashing names); a graph living elsewhere fails
-                     naturally with ERR_UNKNOWN_GRAPH from the worker. *)
-                  match spec.P.t_graphs with
-                  | [] -> local (P.err_line (P.error ~code:"ERR_BAD_ARG" "TRAIN needs ON <graphs>"))
-                  | name :: _ ->
-                      let g = group_for t name in
-                      Hashtbl.replace t.model_shards spec.P.t_model g.g_shard;
-                      route_write t slot g line)
-              | P.Models ->
-                  fanout t slot (primaries t) ~line_for:(fun _ -> "MODELS")
-                    ~finish:(fun parts ->
-                      let payloads =
-                        Array.to_list parts |> List.filter_map (fun (_, _, r) -> payload_of r)
-                      in
-                      if payloads = [] then
-                        P.err_line (P.error ~code:shard_down_code "no shards are up")
-                      else P.ok (merge_models payloads))
-              | P.Save requested ->
-                  (* Each shard snapshots to its own file: <path>.shardI
-                     when a path was given, the worker's own --snapshot
-                     default otherwise. Primaries only — a replica
-                     writing the same per-shard file would race it. *)
-                  fanout t slot (primaries t)
+                  let targets = List.filteri (fun i _ -> i < List.length parts) ups in
+                  let assignments = List.combine targets parts in
+                  fanout t slot targets
                     ~line_for:(fun m ->
-                      match requested with
-                      | Some path ->
-                          Printf.sprintf "SAVE %s"
-                            (quote_word (Printf.sprintf "%s.shard%d" path m.m_spec.Shard.sp_shard))
-                      | None -> "SAVE")
-                    ~finish:finish_snapshots
-              | P.Restore requested ->
-                  (* Replicas restore the same per-shard file so the whole
-                     shard group converges on the restored state. *)
-                  let line_for m =
-                    match requested with
-                    | Some path ->
-                        Printf.sprintf "RESTORE %s"
-                          (quote_word (Printf.sprintf "%s.shard%d" path m.m_spec.Shard.sp_shard))
-                    | None -> "RESTORE"
-                  in
-                  List.iter
-                    (fun m ->
-                      if m.m_spec.Shard.sp_role <> Shard.Primary && is_up m then
-                        send_upstream t m (line_for m) Discard)
-                    (all_members t);
-                  fanout t slot (primaries t) ~line_for ~finish:finish_snapshots)))
+                      Printf.sprintf "PREDICT %s ON %s" (quote_word model)
+                        (quote_word (String.concat "," (List.assq m assignments))))
+                    ~finish:(finish_predict_batch model ~graphs:n)))
+      | _ -> (
+          (* Every other command is keyed by one graph, and the protocol's
+             classification says how: a write (LOAD / MUTATE / TRAIN by
+             its first source) goes to the primary and is mirrored to the
+             replicas; a read round-robins across the live group. *)
+          match P.classify req with
+          | { P.graph = None; _ } -> bad_arg (P.command_name req ^ ": no graph to route by")
+          | { P.graph = Some name; writes } -> (
+              let g = group_for t name in
+              match req with
+              | P.Train spec when writes ->
+                  Hashtbl.replace t.model_shards spec.P.t_model g.g_shard;
+                  route_write t slot g line
+              | _ when writes -> route_write t slot g line
+              | P.Predict (model, _, _) ->
+                  with_model_on model g.g_shard ~what:(Printf.sprintf "graph %S hashes" name)
+                    (fun () -> read_from g)
+              | _ -> read_from g)))
 
 (* --- select loop --------------------------------------------------------- *)
-
-let spawn_managed t =
-  List.iter
-    (fun m ->
-      (match m.m_spec.Shard.sp_argv with
-      | Some argv ->
-          let pid = Shard.spawn argv in
-          m.m_pid <- Some pid;
-          log t "shard %d %s spawned as pid %d" m.m_spec.Shard.sp_shard (role_label m) pid
-      | None -> ());
-      m.m_state <-
-        Connecting (Int64.add (Clock.now_ns ()) (Int64.of_float (t.config.boot_timeout_s *. 1e9))))
-    (all_members t)
 
 (* Block until every member is up (or its boot deadline passed) before
    opening the front socket: a client that can connect should find the
@@ -1174,155 +997,53 @@ let terminate_children t =
   wait_all ()
 
 let serve t =
-  let prev_handlers =
-    List.map
-      (fun signal ->
-        (signal, Sys.signal signal (Sys.Signal_handle (fun _ -> Atomic.set t.stop_flag true))))
-      [ Sys.sigint; Sys.sigterm ]
-  in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  spawn_managed t;
+  Conn.with_signals t.stop_flag @@ fun () ->
+  List.iter (start_member t) (all_members t);
   wait_boot t;
-  let listeners = ref [] in
-  (match t.config.socket_path with
-  | Some path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      listeners := fd :: !listeners;
-      log t "routing on unix socket %s" path
-  | None -> ());
-  (match t.config.tcp_port with
-  | Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.listen fd 64;
-      listeners := fd :: !listeners;
-      log t "routing on tcp port %d" port
-  | None -> ());
-  if !listeners = [] then invalid_arg "Router.serve: no socket_path and no tcp_port";
-  let conns : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 16 in
-  let chunk = Bytes.create 65536 in
-  let member_fd m = match m.m_state with Up u -> Some u.u_fd | _ -> None in
-  let member_by_fd fd =
-    List.find_opt (fun m -> member_fd m = Some fd) (all_members t)
+  let front =
+    Conn.front t.env ~name:"router" ~socket_path:t.config.socket_path
+      ~tcp_port:t.config.tcp_port ~max_connections:t.config.max_connections
+      ~max_line_bytes:t.config.max_line_bytes ~max_inbuf_bytes:t.config.max_inbuf_bytes
   in
-  let read_member m =
-    match m.m_state with
-    | Up u -> (
-        match Unix.read u.u_fd chunk 0 (Bytes.length chunk) with
-        | 0 -> member_down t m "EOF"
-        | nread -> (
-            Metrics.add_io t.metrics ~bytes_in:nread ~bytes_out:0;
-            match Line_buf.feed u.u_lines chunk ~off:0 ~len:nread with
-            | Ok lines ->
-                List.iter
-                  (fun line ->
-                    match Queue.take_opt m.m_pending with
-                    | Some dest -> dispatch_reply t m dest line
-                    | None -> log t "shard %d sent an unsolicited line" m.m_spec.Shard.sp_shard)
-                  lines
-            | Error _ -> member_down t m "reply overflowed the framing caps")
-        | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) -> ()
-        | exception Unix.Unix_error _ -> member_down t m "read failed")
-    | _ -> ()
+  let upstreams () =
+    List.filter_map (fun m -> match m.m_state with Up u -> Some (m, u) | _ -> None) (all_members t)
   in
-  let read_client c =
-    match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
-    | 0 -> c.c_closing <- true
-    | nread -> (
-        Metrics.add_io t.metrics ~bytes_in:nread ~bytes_out:0;
-        match Line_buf.feed c.c_lines chunk ~off:0 ~len:nread with
-        | Ok lines ->
-            List.iter (fun line -> if String.trim line <> "" then handle_client_line t c line) lines
-        | Error e ->
-            let err =
-              match e with
-              | Line_buf.Line_too_long limit ->
-                  P.error ~code:"ERR_LIMIT_LINE"
-                    (Printf.sprintf "request line exceeds the %d-byte limit" limit)
-              | Line_buf.Buffer_overflow limit ->
-                  P.error ~code:"ERR_LIMIT_INBUF"
-                    (Printf.sprintf "connection buffered more than %d bytes without a newline" limit)
-            in
-            Metrics.conn_dropped t.metrics;
-            Buffer.add_string c.c_out (P.err_line err ^ "\n");
-            flush_client t c;
-            Buffer.clear c.c_out;
-            c.c_dead <- true;
-            c.c_closing <- true)
-    | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ ->
-        c.c_dead <- true;
-        c.c_closing <- true
-  in
-  let accept_on fd =
-    match Unix.accept fd with
-    | client_fd, _ ->
-        if Hashtbl.length conns >= t.config.max_connections then begin
-          Metrics.conn_rejected t.metrics;
-          let line =
-            P.err_line
-              (P.error ~code:"ERR_LIMIT_CONNS"
-                 (Printf.sprintf "router is at its %d-connection limit" t.config.max_connections))
-            ^ "\n"
-          in
-          (try ignore (Unix.write_substring client_fd line 0 (String.length line))
-           with Unix.Unix_error _ -> ());
-          try Unix.close client_fd with Unix.Unix_error _ -> ()
-        end
-        else begin
-          Unix.set_nonblock client_fd;
-          Hashtbl.replace conns client_fd
-            {
-              c_fd = client_fd;
-              c_lines =
-                Line_buf.create ~max_line_bytes:t.config.max_line_bytes
-                  ~max_buf_bytes:t.config.max_inbuf_bytes ();
-              c_out = Buffer.create 256;
-              c_closing = false;
-              c_dead = false;
-              c_slots = Queue.create ();
-            }
-        end
-    | exception Unix.Unix_error _ -> ()
+  let read_member m u =
+    match Conn.receive u with
+    | Error _ -> member_down t m "reply overflowed the framing caps"
+    | Ok lines ->
+        List.iter
+          (fun line ->
+            match Queue.take_opt m.m_pending with
+            | Some dest -> dispatch_reply t m dest line
+            | None -> log t "shard %d sent an unsolicited line" m.m_spec.Shard.sp_shard)
+          lines;
+        if u.Conn.broken then member_down t m "read failed"
+        else if u.Conn.closing then member_down t m "EOF"
   in
   let one_tick ~accepting =
-    let watched_read =
-      (if accepting then !listeners else [])
-      @ Hashtbl.fold (fun fd c acc -> if c.c_closing then acc else fd :: acc) conns []
-      @ List.filter_map member_fd (all_members t)
-    in
-    let watched_write =
-      Hashtbl.fold (fun fd c acc -> if Buffer.length c.c_out > 0 then fd :: acc else acc) conns []
-      @ List.filter_map
-          (fun m ->
-            match m.m_state with
-            | Up u when Buffer.length u.u_out > 0 -> Some u.u_fd
-            | _ -> None)
-          (all_members t)
-    in
+    let ups = upstreams () in
     let readable, writable =
-      match Unix.select watched_read watched_write [] 0.25 with
-      | readable, writable, _ -> (readable, writable)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
+      Conn.step front ~accepting ~data:Queue.create ~on_line:(handle_client_line t)
+        ~read:(List.map (fun (_, u) -> u.Conn.fd) ups)
+        ~write:
+          (List.filter_map
+             (fun (_, u) -> if Buffer.length u.Conn.out > 0 then Some u.Conn.fd else None)
+             ups)
+        0.25
     in
-    List.iter
-      (fun fd ->
-        match Hashtbl.find_opt conns fd with
-        | Some c -> flush_client t c
-        | None -> ( match member_by_fd fd with Some m -> flush_member t m | None -> ()))
-      writable;
-    List.iter
-      (fun fd ->
-        if accepting && List.mem fd !listeners then accept_on fd
-        else
-          match Hashtbl.find_opt conns fd with
-          | Some c -> read_client c
-          | None -> ( match member_by_fd fd with Some m -> read_member m | None -> ()))
-      readable;
+    (* A member can go down while earlier fds are handled; look each one
+       up again so a closed connection is never touched. *)
+    let on_ready fds f =
+      List.iter
+        (fun fd ->
+          match List.find_opt (fun (_, u) -> u.Conn.fd = fd) (upstreams ()) with
+          | Some (m, u) -> f m u
+          | None -> ())
+        fds
+    in
+    on_ready writable (fun m _ -> flush_member t m);
+    on_ready readable read_member;
     reap t;
     List.iter (fun m -> try_connect t m) (all_members t);
     (* Health probes: PING each up member on a cadence and mark it down
@@ -1360,18 +1081,8 @@ let serve t =
         (all_members t)
     end;
     (* Reap clients whose replies are fully delivered. *)
-    let dead =
-      Hashtbl.fold
-        (fun fd c acc ->
-          let finished = c.c_dead || (c.c_closing && Queue.is_empty c.c_slots) in
-          if finished && Buffer.length c.c_out = 0 then (fd, c) :: acc else acc)
-        conns []
-    in
-    List.iter
-      (fun (fd, c) ->
-        (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-        Hashtbl.remove conns fd)
-      dead
+    Conn.reap front ~finished:(fun c ->
+        c.Conn.broken || (c.Conn.closing && Queue.is_empty c.Conn.data))
   in
   while not (Atomic.get t.stop_flag) do
     one_tick ~accepting:true
@@ -1388,33 +1099,9 @@ let serve t =
       Queue.iter (fun dest -> fail_dest t m.m_spec.Shard.sp_shard dest) m.m_pending;
       Queue.clear m.m_pending)
     (all_members t);
-  (* Last flush of client outbufs, bounded like the server's. *)
-  let flush_deadline = Clock.deadline_after 2.0 in
-  let rec flush_remaining () =
-    let waiting =
-      Hashtbl.fold
-        (fun fd c acc -> if Buffer.length c.c_out > 0 then (fd, c) :: acc else acc)
-        conns []
-    in
-    if waiting <> [] && not (Clock.expired flush_deadline) then begin
-      (match Unix.select [] (List.map fst waiting) [] 0.1 with
-      | _, writable, _ ->
-          List.iter (fun (fd, c) -> if List.mem fd writable then flush_client t c) waiting
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      flush_remaining ()
-    end
-  in
-  flush_remaining ();
-  Hashtbl.iter (fun _ c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) conns;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
-  (match t.config.socket_path with
-  | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | None -> ());
-  List.iter
-    (fun m -> match m.m_state with Up u -> (try Unix.close u.u_fd with Unix.Unix_error _ -> ()) | _ -> ())
-    (all_members t);
+  Conn.close front ~drain_s:2.0;
+  List.iter (fun (_, u) -> Conn.close_fd u.Conn.fd) (upstreams ());
   terminate_children t;
-  List.iter (fun (signal, h) -> try Sys.set_signal signal h with Invalid_argument _ -> ()) prev_handlers;
   let served = Metrics.requests t.metrics in
   Printf.eprintf "glqld-router: routed %d requests (%d errors), shutting down cleanly\n%!" served
     (Metrics.errors t.metrics);

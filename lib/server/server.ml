@@ -1,14 +1,13 @@
 (* The glqld request loop.
 
    Concurrency model: the main domain owns all sockets and runs a select
-   loop; each iteration reads whatever complete request lines arrived on
-   any connection and dispatches the whole batch through
-   Pool.parallel_map_array, so requests from concurrent clients run on
-   the domain pool in parallel while replies are written back in arrival
-   order per connection. Client sockets are nonblocking with a
-   per-connection output buffer flushed via the select write set, so a
-   client that stops reading stalls only itself (and is dropped once its
-   backlog passes [max_conn_outbuf]). Handlers are pure apart from the mutex-guarded
+   loop over {!Conn} connections; each iteration reads whatever complete
+   request lines arrived on any connection and dispatches the whole
+   batch through Pool.parallel_map_array, so requests from concurrent
+   clients run on the domain pool in parallel while replies are written
+   back in arrival order per connection. Writes (Protocol.classify) are
+   barriers inside a batch, so pipelined requests see exactly the writes
+   sent before them. Handlers are pure apart from the mutex-guarded
    caches/metrics/registry, and any Pool entry point a kernel reaches from
    a worker domain degrades to its sequential fallback (the pool's nesting
    rule), so batch dispatch is safe for every pool size.
@@ -22,16 +21,13 @@
    [max_table_cells] guard rejects queries whose materialisation is
    hopeless upfront, and HOM carries an analogous cost estimate.
 
-   Resource governance: accepts beyond [max_connections] are refused
-   with ERR_LIMIT_CONNS; per-connection input framing (Line_buf) caps a
-   single request line ([max_line_bytes]) and the bytes a peer may
-   buffer without ever sending a newline ([max_inbuf_bytes]) — an
-   over-limit peer gets one structured error line, best-effort, and is
-   dropped. Caches evict by byte budgets on top of entry capacities.
+   Resource governance: {!Conn} enforces the connection cap and the
+   per-connection input limits and reply backlog cap, each with a coded
+   ERR; caches evict by byte budgets on top of entry capacities.
 
    Shutdown: SIGINT/SIGTERM (or the SHUTDOWN command) set a flag; the
-   loop stops accepting, drains request lines already buffered, writes
-   every pending reply, dumps the metrics file, and exits cleanly. *)
+   loop stops accepting, writes every pending reply, dumps the metrics
+   file, and exits cleanly. *)
 
 module Graph = Glql_graph.Graph
 module Expr = Glql_gel.Expr
@@ -84,17 +80,6 @@ let default_config =
     verbose = false;
   }
 
-(* What the last successful RESTORE (or boot-time snapshot load) brought
-   in; surfaced under "restored" in STATS so a warm start is observable. *)
-type restored_info = {
-  r_file : string;
-  r_saved_at : float;
-  r_graphs : int;
-  r_colorings : int;
-  r_plans : int;
-  r_models : int;
-}
-
 type t = {
   config : config;
   registry : Registry.t;
@@ -102,7 +87,10 @@ type t = {
   models : Models.t;
   metrics : Metrics.t;
   stop_flag : bool Atomic.t;
-  restored : restored_info option Atomic.t;
+  restored : (string * Persist.summary) option Atomic.t;
+      (* What the last successful RESTORE (or boot-time snapshot load)
+         brought in; surfaced under "restored" in STATS so a warm start
+         is observable. *)
   retrains : int Atomic.t;  (* models refit by the RETRAIN-on-stale policy *)
 }
 
@@ -153,17 +141,8 @@ let restore_snapshot t path =
       ~metrics:(Some t.metrics) path
   with
   | Error _ as e -> e
-  | Ok (s : Persist.summary) ->
-      Atomic.set t.restored
-        (Some
-           {
-             r_file = path;
-             r_saved_at = s.Persist.s_saved_at;
-             r_graphs = s.Persist.s_graphs;
-             r_colorings = s.Persist.s_colorings;
-             r_plans = s.Persist.s_plans;
-             r_models = s.Persist.s_models;
-           });
+  | Ok s ->
+      Atomic.set t.restored (Some (path, s));
       Ok (path, s)
 
 (* --- request handlers --------------------------------------------------- *)
@@ -178,6 +157,9 @@ let vec_json v = P.List (Array.to_list (Array.map (fun x -> P.Float x) v))
 let fail code fmt = Printf.ksprintf (fun message -> Error (P.error ~code message)) fmt
 
 let tag code = Result.map_error (fun message -> P.error ~code message)
+
+(* Featurize/Models failures come already classified as (code, message). *)
+let coded r = Result.map_error (fun (code, message) -> P.error ~code message) r
 
 let check_deadline deadline stage =
   if Clock.expired deadline then
@@ -266,6 +248,11 @@ let query_result t deadline graph_name src =
          ("values", values);
        ])
 
+let distinct colors =
+  let seen = Hashtbl.create 64 in
+  Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
+  Hashtbl.length seen
+
 let wl_result t deadline graph_name rounds =
   let* g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_entry t.registry graph_name) in
   let* () = check_deadline deadline "colour refinement" in
@@ -276,11 +263,6 @@ let wl_result t deadline graph_name rounds =
     | None -> List.hd (Cr.stable_colors result)
     | Some r -> List.hd (Cr.colors_at_round result r)
   in
-  let distinct =
-    let seen = Hashtbl.create 64 in
-    Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
-    Hashtbl.length seen
-  in
   Ok
     (P.Obj
        [
@@ -288,7 +270,7 @@ let wl_result t deadline graph_name rounds =
          ("n", P.Int (Graph.n_vertices g));
          ("rounds_to_stable", P.Int stable_rounds);
          ("rounds_used", P.Int (match rounds with None -> stable_rounds | Some r -> min (max 0 r) stable_rounds));
-         ("classes", P.Int distinct);
+         ("classes", P.Int (distinct colors));
          ("signature", P.Str (Digest.to_hex (Digest.string (Cr.graph_signature colors))));
          ( "colors",
            if Array.length colors <= max_listed_cells then
@@ -312,11 +294,6 @@ let kwl_result t deadline graph_name k =
   let* () = check_deadline deadline "k-WL refinement" in
   let result, hit = Cache.kwl t.cache ~graph_name ~gen ~k ~deadline g in
   let colors = List.hd (Kwl.stable_colors result) in
-  let distinct =
-    let seen = Hashtbl.create 64 in
-    Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
-    Hashtbl.length seen
-  in
   Ok
     (P.Obj
        [
@@ -324,7 +301,7 @@ let kwl_result t deadline graph_name k =
          ("k", P.Int k);
          ("variant", P.Str "folklore");
          ("rounds", P.Int (Kwl.rounds result));
-         ("tuple_classes", P.Int distinct);
+         ("tuple_classes", P.Int (distinct colors));
          ("signature", P.Str (Digest.to_hex (Digest.string (Kwl.graph_signature colors))));
          ("coloring_cache", hit_tag hit);
        ])
@@ -385,6 +362,12 @@ let hom_result t deadline ~(shared : shared) graph_name max_size =
 
 (* --- model serving (v6) --------------------------------------------------- *)
 
+let sources_json (m : Models.stored) =
+  P.List
+    (List.map
+       (fun (name, gen) -> P.Obj [ ("graph", P.Str name); ("generation", P.Int gen) ])
+       m.Models.sm_sources)
+
 let model_summary_json (m : Models.stored) =
   P.Obj
     [
@@ -394,11 +377,7 @@ let model_summary_json (m : Models.stored) =
       ("recipe", P.Str m.Models.sm_recipe);
       ("target", P.Str m.Models.sm_target);
       ("schema_hash", P.Str (Featurize.schema_hash m.Models.sm_schema));
-      ( "sources",
-        P.List
-          (List.map
-             (fun (name, gen) -> P.Obj [ ("graph", P.Str name); ("generation", P.Int gen) ])
-             m.Models.sm_sources) );
+      ("sources", sources_json m);
       ("rows", P.Int m.Models.sm_rows);
       ("epochs", P.Int m.Models.sm_epochs);
       ("train_metric", P.Float m.Models.sm_train_metric);
@@ -410,8 +389,7 @@ let featurize_result t deadline graph_name recipe mode =
   let* cols = tag "ERR_BAD_RECIPE" (Featurize.parse_recipe recipe) in
   let* () = check_deadline deadline "featurization" in
   let* b =
-    Result.map_error
-      (fun (code, message) -> P.error ~code message)
+    coded
       (Trace.with_span "featurize" (fun () ->
            Featurize.build ~cache:t.cache ~graph_name ~gen ~deadline
              ~max_cells:t.config.max_table_cells mode g cols))
@@ -450,8 +428,7 @@ let losses_json losses =
 let train_result t deadline (spec : P.train_spec) =
   let* () = check_deadline deadline "training" in
   let* trained =
-    Result.map_error
-      (fun (code, message) -> P.error ~code message)
+    coded
       (Trace.with_span "train" (fun () ->
            Models.train ~registry:t.registry ~cache:t.cache ~models:t.models ~deadline
              ~max_cells:t.config.max_table_cells spec))
@@ -465,11 +442,7 @@ let train_result t deadline (spec : P.train_spec) =
          ("model", P.Str m.Models.sm_name);
          ("task", P.Str (Models.task_name m.Models.sm_task));
          ("mode", P.Str (P.feat_mode_name m.Models.sm_mode));
-         ( "sources",
-           P.List
-             (List.map
-                (fun (name, gen) -> P.Obj [ ("graph", P.Str name); ("generation", P.Int gen) ])
-                m.Models.sm_sources) );
+         ("sources", sources_json m);
          ("rows", P.Int m.Models.sm_rows);
          ("cols", P.Int (List.hd m.Models.sm_sizes));
          ("schema_hash", P.Str (Featurize.schema_hash m.Models.sm_schema));
@@ -485,8 +458,7 @@ let train_result t deadline (spec : P.train_spec) =
 let predict_result t deadline model graph vertices =
   let* () = check_deadline deadline "prediction" in
   let* p =
-    Result.map_error
-      (fun (code, message) -> P.error ~code message)
+    coded
       (Trace.with_span "predict" (fun () ->
            Models.predict ~registry:t.registry ~cache:t.cache ~models:t.models ~deadline
              ~max_cells:t.config.max_table_cells ~model ~graph ~vertices ()))
@@ -548,25 +520,29 @@ let predict_batch_result t deadline model graphs =
 let models_result t =
   Ok (P.List (List.map model_summary_json (Models.list t.models)))
 
-let restored_json t =
-  match Atomic.get t.restored with
-  | None -> P.Null
-  | Some r ->
-      P.Obj
-        [
-          ("file", P.Str r.r_file);
-          ("saved_at", P.Float r.r_saved_at);
-          ("graphs", P.Int r.r_graphs);
-          ("colorings", P.Int r.r_colorings);
-          ("plans", P.Int r.r_plans);
-          ("models", P.Int r.r_models);
-        ]
+(* A snapshot summary: the SAVE reply leads with the file size, RESTORE
+   (and STATS' "restored") with when the file was written. *)
+let snapshot_json lead (path, (s : Persist.summary)) =
+  P.Obj
+    [
+      ("file", P.Str path);
+      lead s;
+      ("graphs", P.Int s.Persist.s_graphs);
+      ("colorings", P.Int s.Persist.s_colorings);
+      ("plans", P.Int s.Persist.s_plans);
+      ("models", P.Int s.Persist.s_models);
+    ]
+
+let restore_json = snapshot_json (fun s -> ("saved_at", P.Float s.Persist.s_saved_at))
+
+let restored_json t = match Atomic.get t.restored with None -> P.Null | Some r -> restore_json r
+
+let cache_fields t = List.map (fun (k, v) -> (k, P.Int v)) (Cache.stats t.cache)
 
 let stats_json t =
-  let cache_fields = List.map (fun (k, v) -> (k, P.Int v)) (Cache.stats t.cache) in
   Metrics.to_json t.metrics
     ~extra:
-      (cache_fields
+      (cache_fields t
       @ [
           ("protocol_version", P.Int P.protocol_version);
           ("graphs_registered", P.Int (Registry.n_graphs t.registry));
@@ -636,25 +612,17 @@ let explain_json ~t0 spans reply =
       ("stages", stages);
     ]
 
+let identity =
+  [
+    ("server", P.Str "glqld");
+    ("version", P.Str version);
+    ("protocol_version", P.Int P.protocol_version);
+  ]
+
 let dispatch t deadline ~shared ~sink ~t0 req =
   match req with
-  | P.Hello ->
-      Ok
-        (P.Obj
-           [
-             ("server", P.Str "glqld");
-             ("version", P.Str version);
-             ("protocol_version", P.Int P.protocol_version);
-             ("pool_domains", P.Int (Pool.size ()));
-           ])
-  | P.Version ->
-      Ok
-        (P.Obj
-           [
-             ("server", P.Str "glqld");
-             ("version", P.Str version);
-             ("protocol_version", P.Int P.protocol_version);
-           ])
+  | P.Hello -> Ok (P.Obj (identity @ [ ("pool_domains", P.Int (Pool.size ())) ]))
+  | P.Version -> Ok (P.Obj identity)
   | P.Ping -> Ok (P.Str "pong")
   | P.Load (name, spec) ->
       let* g = tag "ERR_BAD_SPEC" (Registry.register t.registry ~name ~spec) in
@@ -738,30 +706,12 @@ let dispatch t deadline ~shared ~sink ~t0 req =
            ])
   | P.Save requested ->
       let* path = tag "ERR_SNAPSHOT" (snapshot_path t requested) in
-      let* path, s = tag "ERR_SNAPSHOT" (save_snapshot t path) in
-      Ok
-        (P.Obj
-           [
-             ("file", P.Str path);
-             ("bytes", P.Int s.Persist.s_bytes);
-             ("graphs", P.Int s.Persist.s_graphs);
-             ("colorings", P.Int s.Persist.s_colorings);
-             ("plans", P.Int s.Persist.s_plans);
-             ("models", P.Int s.Persist.s_models);
-           ])
+      Result.map
+        (snapshot_json (fun s -> ("bytes", P.Int s.Persist.s_bytes)))
+        (tag "ERR_SNAPSHOT" (save_snapshot t path))
   | P.Restore requested ->
       let* path = tag "ERR_SNAPSHOT" (snapshot_path t requested) in
-      let* path, s = tag "ERR_SNAPSHOT" (restore_snapshot t path) in
-      Ok
-        (P.Obj
-           [
-             ("file", P.Str path);
-             ("saved_at", P.Float s.Persist.s_saved_at);
-             ("graphs", P.Int s.Persist.s_graphs);
-             ("colorings", P.Int s.Persist.s_colorings);
-             ("plans", P.Int s.Persist.s_plans);
-             ("models", P.Int s.Persist.s_models);
-           ])
+      Result.map restore_json (tag "ERR_SNAPSHOT" (restore_snapshot t path))
   | P.Stats -> Ok (stats_json t)
   | P.Quit -> Ok (P.Str "bye")
   | P.Shutdown ->
@@ -774,22 +724,33 @@ let attach_trace ~t0 sink j =
   | P.Obj fields -> P.Obj (fields @ [ ("trace", trace) ])
   | other -> P.Obj [ ("value", other); ("trace", trace) ]
 
-let handle_line_with t ~shared line =
+(* A span sink feeding the cumulative per-stage histograms in STATS. *)
+let stage_sink ?keep_spans t =
+  Trace.make_sink ?keep_spans
+    ~on_span:(fun sp ->
+      Metrics.record_stage t.metrics ~stage:sp.Trace.name ~dur_ns:(Int64.to_int sp.Trace.dur_ns))
+    ()
+
+(* A request line parsed once for the whole batch path. The parse time
+   is put back on the request's clock, so its latency and its trace
+   origin still start before the protocol parse. *)
+type job = { parsed : (P.parsed, string) result; parse_ns : int64 }
+
+let parse_job line =
   let t0 = Clock.now_ns () in
+  let parsed = P.parse_request line in
+  { parsed; parse_ns = Clock.elapsed_ns t0 }
+
+let handle_job t ~shared job =
+  let t0 = Int64.sub (Clock.now_ns ()) job.parse_ns in
   let deadline = Clock.deadline_after t.config.request_timeout_s in
   (* Every request gets a span sink: it feeds the cumulative per-stage
      histograms in STATS, answers the TRACE option, and gives EXPLAIN
      its stage breakdown. Spans opened on pool workers land here too
      (Pool propagates the trace context). *)
-  let sink =
-    Trace.make_sink ~keep_spans:true
-      ~on_span:(fun sp ->
-        Metrics.record_stage t.metrics ~stage:sp.Trace.name
-          ~dur_ns:(Int64.to_int sp.Trace.dur_ns))
-      ()
-  in
+  let sink = stage_sink ~keep_spans:true t in
   let reply, command, ok =
-    match P.parse_request line with
+    match job.parsed with
     | Error e -> (P.err_line (P.error ~code:"ERR_PARSE" e), "INVALID", false)
     | Ok { P.req; traced } -> (
         let command = P.command_name req in
@@ -819,7 +780,7 @@ let handle_line_with t ~shared line =
   Metrics.record t.metrics ~command ~ok ~latency_ns:(Clock.elapsed_ns t0);
   reply
 
-let handle_line t line = handle_line_with t ~shared:empty_shared line
+let handle_line t line = handle_job t ~shared:empty_shared (parse_job line)
 
 (* --- server-side query batching ------------------------------------------ *)
 
@@ -839,7 +800,7 @@ let handle_line t line = handle_line_with t ~shared:empty_shared line
    produces its own structured error. Correctness does not depend on
    this phase at all: it only warms caches the handlers consult under
    their own (name, generation) keys. *)
-let plan_batch t lines =
+let plan_batch t jobs =
   let wl = Hashtbl.create 4 and kwl = Hashtbl.create 4 and hom = Hashtbl.create 4 in
   let bump tbl key =
     Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -861,8 +822,8 @@ let plan_batch t lines =
           names
   in
   Array.iter
-    (fun line ->
-      match P.parse_request line with
+    (fun job ->
+      match job.parsed with
       | Ok { P.req = P.Wl (name, _); _ } -> bump wl name
       | Ok { P.req = P.Kwl (name, k); _ } -> bump kwl (name, k)
       | Ok { P.req = P.Hom (name, size); _ } ->
@@ -879,7 +840,7 @@ let plan_batch t lines =
           | Some m -> bump_recipe names m.Models.sm_recipe
           | None -> ())
       | _ -> ())
-    lines;
+    jobs;
   let sorted_groups tbl keep =
     Hashtbl.fold (fun k v acc -> if keep v then (k, v) :: acc else acc) tbl []
     |> List.sort compare
@@ -897,18 +858,15 @@ let plan_batch t lines =
     let deadline = Clock.deadline_after t.config.request_timeout_s in
     (* Skippable by design: any failure (unknown graph, guard, deadline)
        leaves the corresponding requests to run — and report — solo. *)
-    let attempt f = try f () with _ -> () in
+    let prewarm name f =
+      try
+        match Registry.find_entry t.registry name with Ok (g, gen) -> f g gen | Error _ -> ()
+      with _ -> ()
+    in
     (* The prewarm runs outside any per-request sink, so give it one:
        kernel spans (wl.refine, kwl.refine, hom.profile, csr.build) must
        land in the STATS stage histograms exactly like per-request work. *)
-    let sink =
-      Trace.make_sink
-        ~on_span:(fun sp ->
-          Metrics.record_stage t.metrics ~stage:sp.Trace.name
-            ~dur_ns:(Int64.to_int sp.Trace.dur_ns))
-        ()
-    in
-    Trace.with_sink sink (fun () ->
+    Trace.with_sink (stage_sink t) (fun () ->
         Trace.with_span
           ~args:
             [
@@ -921,55 +879,58 @@ let plan_batch t lines =
         @@ fun () ->
         List.iter
           (fun (name, _) ->
-            attempt (fun () ->
-                match Registry.find_entry t.registry name with
-                | Ok (g, gen) -> ignore (Cache.cr t.cache ~graph_name:name ~gen ~deadline g)
-                | Error _ -> ()))
+            prewarm name (fun g gen -> ignore (Cache.cr t.cache ~graph_name:name ~gen ~deadline g)))
           wl_groups;
         List.iter
           (fun ((name, k), _) ->
-            attempt (fun () ->
-                if k >= 1 && k <= 3 then
-                  match Registry.find_entry t.registry name with
-                  | Ok (g, gen) ->
-                      if Kwl.tuple_count (Graph.n_vertices g) k <= t.config.max_table_cells
-                      then ignore (Cache.kwl t.cache ~graph_name:name ~gen ~k ~deadline g)
-                  | Error _ -> ()))
+            prewarm name (fun g gen ->
+                let cells = Kwl.tuple_count (Graph.n_vertices g) k in
+                if k >= 1 && k <= 3 && cells <= t.config.max_table_cells then
+                  ignore (Cache.kwl t.cache ~graph_name:name ~gen ~k ~deadline g)))
           kwl_groups;
         List.iter
           (fun (name, (_, max_size)) ->
-            attempt (fun () ->
+            prewarm name (fun g gen ->
                 if max_size >= 1 && max_size <= 9 then
-                  match Registry.find_entry t.registry name with
-                  | Ok (g, gen) ->
-                      let patterns = Tree.all_free_trees_up_to max_size in
-                      let work = float_of_int (Graph.n_vertices g + (2 * Graph.n_edges g)) in
-                      let cost =
-                        float_of_int (List.length patterns) *. float_of_int max_size *. work
-                      in
-                      if cost <= float_of_int t.config.max_table_cells then
-                        Hashtbl.replace shared name
-                          (gen, max_size, Count.profile ~deadline patterns g)
-                  | Error _ -> ()))
+                  let patterns = Tree.all_free_trees_up_to max_size in
+                  let work = float_of_int (Graph.n_vertices g + (2 * Graph.n_edges g)) in
+                  let cost = float_of_int (List.length patterns) *. float_of_int max_size *. work in
+                  if cost <= float_of_int t.config.max_table_cells then
+                    let profile = Count.profile ~deadline patterns g in
+                    Hashtbl.replace shared name (gen, max_size, profile)))
           hom_groups);
     Metrics.add_coalesced t.metrics coalesced
   end;
   shared
 
-(* One select-loop batch: coalesce shared passes, then fan the lines out
-   on the pool. Replies come back in input order. *)
-let handle_lines t lines =
-  let shared = plan_batch t lines in
-  Pool.parallel_map_array (fun line -> handle_line_with t ~shared line) lines
+(* One select-loop batch: coalesce shared passes, then fan the requests
+   out on the pool. Writes are barriers: each runs alone, in arrival
+   order, between the parallel runs of the requests around it, so a
+   pipelined MUTATE is seen by exactly the requests sent after it.
+   Replies come back in input order. *)
+let run_jobs t jobs =
+  let shared = plan_batch t jobs in
+  let replies = Array.make (Array.length jobs) "" in
+  let run lo hi =
+    if hi > lo then
+      Array.blit
+        (Pool.parallel_map_array (handle_job t ~shared) (Array.sub jobs lo (hi - lo)))
+        0 replies lo (hi - lo)
+  in
+  let start = ref 0 in
+  Array.iteri
+    (fun i job ->
+      match job.parsed with
+      | Ok { P.req; _ } when (P.classify req).P.writes ->
+          run !start i;
+          replies.(i) <- handle_job t ~shared job;
+          start := i + 1
+      | _ -> ())
+    jobs;
+  run !start (Array.length jobs);
+  replies
 
-(* --- socket loop --------------------------------------------------------- *)
-
-type conn = {
-  fd : Unix.file_descr;
-  lines : Line_buf.t;  (* incremental framing + input limits *)
-  outbuf : Buffer.t;  (* reply bytes the socket has not yet accepted *)
-  mutable closing : bool;
-}
+let handle_lines t lines = run_jobs t (Array.map parse_job lines)
 
 let log t fmt =
   Printf.ksprintf (fun s -> if t.config.verbose then Printf.eprintf "glqld: %s\n%!" s) fmt
@@ -1017,277 +978,69 @@ let retrain_stale_pass t =
       end)
     (Models.list t.models)
 
-(* Client sockets are nonblocking: push as much of [outbuf] as the socket
-   accepts and keep the rest for the select write set, so one client that
-   stops reading (full send buffer) can never wedge the dispatch loop. *)
-let flush_out t conn =
-  let pending = Buffer.length conn.outbuf in
-  if pending > 0 then begin
-    (* Visible in the Chrome trace only (no request sink is installed on
-       the select loop), closing the request lifecycle: read -> dispatch
-       -> reply flush. *)
-    Trace.with_span ~args:[ ("bytes", string_of_int pending) ] "reply.flush" @@ fun () ->
-    let s = Buffer.contents conn.outbuf in
-    let written = ref 0 in
-    let failed = ref false in
-    let stop = ref false in
-    while (not !stop) && !written < pending do
-      match Unix.write_substring conn.fd s !written (pending - !written) with
-      | 0 -> stop := true
-      | n -> written := !written + n
-      | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) ->
-          stop := true
-      | exception Unix.Unix_error _ ->
-          (* Peer is gone (EPIPE etc.): drop the unsent tail and reap. *)
-          failed := true;
-          stop := true
-    done;
-    if !written > 0 then Metrics.add_io t.metrics ~bytes_in:0 ~bytes_out:!written;
-    Buffer.clear conn.outbuf;
-    if !failed then conn.closing <- true
-    else if !written < pending then
-      Buffer.add_string conn.outbuf (String.sub s !written (pending - !written))
-  end
-
-(* A reader this far behind is not coming back; cap the memory it can pin. *)
-let max_conn_outbuf = 8 * 1024 * 1024
-
-let queue_reply t conn s =
-  Buffer.add_string conn.outbuf s;
-  flush_out t conn;
-  if Buffer.length conn.outbuf > max_conn_outbuf then begin
-    log t "dropping client with %d unsent reply bytes (not reading)" (Buffer.length conn.outbuf);
-    Metrics.conn_dropped t.metrics;
-    Buffer.clear conn.outbuf;
-    conn.closing <- true
-  end
-
-(* Drop a peer for a governance violation: one structured error line,
-   best-effort (whatever one flush pushes out), then close. The unsent
-   tail is discarded so a peer that never reads cannot pin the
-   connection in "closing" forever. *)
-let drop_conn t conn err =
-  Metrics.conn_dropped t.metrics;
-  log t "dropping client: %s (%s)" err.P.message err.P.code;
-  Buffer.add_string conn.outbuf (P.err_line err ^ "\n");
-  flush_out t conn;
-  Buffer.clear conn.outbuf;
-  conn.closing <- true
-
 let serve t =
-  (* Graceful shutdown on SIGINT/SIGTERM; ignore SIGPIPE so writes to a
-     vanished client surface as EPIPE (handled in flush_out). Handlers
-     are installed before the boot-time snapshot restore: a signal that
-     lands during a long restore must set the stop flag (the serve loop
-     is then skipped and the shutdown path still writes metrics and the
-     exit snapshot) rather than kill the process with no cleanup. *)
-  let prev_handlers =
-    List.map
-      (fun signal ->
-        (signal, Sys.signal signal (Sys.Signal_handle (fun _ -> Atomic.set t.stop_flag true))))
-      [ Sys.sigint; Sys.sigterm ]
-  in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* Warm start: restore the snapshot before opening any socket, so the
-     first client already sees the previous life's graphs and caches. A
-     bad or missing snapshot is logged and the server comes up cold —
-     boot must never fail because of yesterday's file. *)
-  (match t.config.snapshot_file with
-  | Some path when Sys.file_exists path -> (
-      match restore_snapshot t path with
-      | Ok (_, s) ->
-          log t "restored snapshot %s (%d graphs, %d colorings, %d plans)" path
-            s.Persist.s_graphs s.Persist.s_colorings s.Persist.s_plans
-      | Error e -> Printf.eprintf "glqld: ignoring snapshot %s: %s\n%!" path e)
-  | Some path -> log t "snapshot %s not present yet; starting cold" path
-  | None -> ());
-  let listeners = ref [] in
-  (match t.config.socket_path with
-  | Some path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      listeners := fd :: !listeners;
-      log t "listening on unix socket %s" path
-  | None -> ());
-  (match t.config.tcp_port with
-  | Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.listen fd 64;
-      listeners := fd :: !listeners;
-      log t "listening on tcp port %d" port
-  | None -> ());
-  if !listeners = [] then invalid_arg "Server.serve: no socket_path and no tcp_port";
-  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
-  let chunk = Bytes.create 65536 in
-  (* RETRAIN-on-stale runs from this loop (never from a request handler):
-     at most one scan per interval, after the batch of the iteration has
-     been dispatched and its replies queued, so a refit delays no reply
-     that was already in flight. *)
-  let last_retrain_scan = ref (Unix.gettimeofday ()) in
-  let maybe_retrain () =
-    if t.config.retrain_stale_s > 0.0 then begin
-      let now = Unix.gettimeofday () in
-      if now -. !last_retrain_scan >= t.config.retrain_stale_s then begin
-        last_retrain_scan := now;
-        retrain_stale_pass t
-      end
-    end
-  in
-  (* Run one batch of request lines through the coalescing planner and
-     the pool, and write replies back in arrival order. *)
-  let process_batch pending =
-    match pending with
-    | [] -> ()
-    | _ ->
-        let batch = Array.of_list pending in
-        let replies = handle_lines t (Array.map snd batch) in
+  (* Signal handlers are installed before the boot-time snapshot
+     restore: a signal that lands during a long restore must set the
+     stop flag (the serve loop is then skipped and the shutdown path
+     still writes metrics and the exit snapshot) rather than kill the
+     process with no cleanup. *)
+  Conn.with_signals t.stop_flag (fun () ->
+      (* Warm start: restore the snapshot before opening any socket, so
+         the first client already sees the previous life's graphs and
+         caches. A bad or missing snapshot is logged and the server
+         comes up cold — boot must never fail because of yesterday's
+         file. *)
+      (match t.config.snapshot_file with
+      | Some path when Sys.file_exists path -> (
+          match restore_snapshot t path with
+          | Ok (_, s) ->
+              log t "restored snapshot %s (%d graphs, %d colorings, %d plans)" path
+                s.Persist.s_graphs s.Persist.s_colorings s.Persist.s_plans
+          | Error e -> Printf.eprintf "glqld: ignoring snapshot %s: %s\n%!" path e)
+      | Some path -> log t "snapshot %s not present yet; starting cold" path
+      | None -> ());
+      let front =
+        Conn.front
+          (Conn.env ~metrics:t.metrics ~log:(log t "%s"))
+          ~name:"server" ~socket_path:t.config.socket_path ~tcp_port:t.config.tcp_port
+          ~max_connections:t.config.max_connections ~max_line_bytes:t.config.max_line_bytes
+          ~max_inbuf_bytes:t.config.max_inbuf_bytes
+      in
+      (* RETRAIN-on-stale runs from this loop (never from a request
+         handler): at most one scan per interval, after the batch of the
+         iteration has been dispatched and its replies queued, so a
+         refit delays no reply that was already in flight. *)
+      let last_retrain_scan = ref (Unix.gettimeofday ()) in
+      let maybe_retrain () =
+        let now = Unix.gettimeofday () in
+        if t.config.retrain_stale_s > 0.0 && now -. !last_retrain_scan >= t.config.retrain_stale_s
+        then begin
+          last_retrain_scan := now;
+          retrain_stale_pass t
+        end
+      in
+      while not (Atomic.get t.stop_flag) do
+        (* Complete lines are framed at read time and the whole batch is
+           dispatched before the next select, so at shutdown connections
+           hold at most a partial trailing line: only replies to flush. *)
+        let pending = ref [] in
+        ignore
+          (Conn.step front ~accepting:true ~data:ignore
+             ~on_line:(fun c line -> pending := (c, parse_job line) :: !pending)
+             0.25);
+        let batch = Array.of_list (List.rev !pending) in
         Array.iteri
           (fun i reply ->
-            let conn, line = batch.(i) in
-            queue_reply t conn (reply ^ "\n");
-            match P.parse_request line with
-            | Ok { P.req = P.Quit; _ } -> conn.closing <- true
-            | Ok { P.req = P.Shutdown; _ } -> Atomic.set t.stop_flag true
-            | _ -> ())
-          replies
-  in
-  let drain_and_close () =
-    (* Complete lines are framed (and dispatched) at read time, so at
-       this point connections hold at most a partial trailing line —
-       nothing left to process, only replies to flush. *)
-    (* Give queued replies a bounded window to drain before closing. *)
-    let drain_deadline = Clock.deadline_after 2.0 in
-    let rec flush_remaining () =
-      let waiting =
-        Hashtbl.fold
-          (fun fd conn acc -> if Buffer.length conn.outbuf > 0 then (fd, conn) :: acc else acc)
-          conns []
-      in
-      if waiting <> [] && not (Clock.expired drain_deadline) then begin
-        (match Unix.select [] (List.map fst waiting) [] 0.1 with
-        | _, writable, _ ->
-            List.iter (fun (fd, conn) -> if List.mem fd writable then flush_out t conn) waiting
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        flush_remaining ()
-      end
-    in
-    flush_remaining ();
-    Hashtbl.iter (fun _ conn -> try Unix.close conn.fd with Unix.Unix_error _ -> ()) conns;
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
-    (match t.config.socket_path with
-    | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | None -> ())
-  in
-  while not (Atomic.get t.stop_flag) do
-    let watched_read =
-      !listeners @ Hashtbl.fold (fun fd conn acc -> if conn.closing then acc else fd :: acc) conns []
-    in
-    let watched_write =
-      Hashtbl.fold
-        (fun fd conn acc -> if Buffer.length conn.outbuf > 0 then fd :: acc else acc)
-        conns []
-    in
-    let readable, writable =
-      match Unix.select watched_read watched_write [] 0.25 with
-      | readable, writable, _ -> (readable, writable)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-    in
-    List.iter
-      (fun fd ->
-        match Hashtbl.find_opt conns fd with Some conn -> flush_out t conn | None -> ())
-      writable;
-    let pending = ref [] in
-    List.iter
-      (fun fd ->
-        if List.mem fd !listeners then begin
-          match Unix.accept fd with
-          | client, _ ->
-              if Hashtbl.length conns >= t.config.max_connections then begin
-                (* Refuse above the cap: one structured error, then
-                   close. The fresh fd is still blocking, but a ~60-byte
-                   write into an empty send buffer cannot block. *)
-                Metrics.conn_rejected t.metrics;
-                log t "rejecting connection (%d live, cap %d)" (Hashtbl.length conns)
-                  t.config.max_connections;
-                let line =
-                  P.err_line
-                    (P.error ~code:"ERR_LIMIT_CONNS"
-                       (Printf.sprintf "server is at its %d-connection limit"
-                          t.config.max_connections))
-                  ^ "\n"
-                in
-                (try ignore (Unix.write_substring client line 0 (String.length line))
-                 with Unix.Unix_error _ -> ());
-                try Unix.close client with Unix.Unix_error _ -> ()
-              end
-              else begin
-                Unix.set_nonblock client;
-                Hashtbl.replace conns client
-                  {
-                    fd = client;
-                    lines =
-                      Line_buf.create ~max_line_bytes:t.config.max_line_bytes
-                        ~max_buf_bytes:t.config.max_inbuf_bytes ();
-                    outbuf = Buffer.create 256;
-                    closing = false;
-                  };
-                log t "client connected (%d live)" (Hashtbl.length conns)
-              end
-          | exception Unix.Unix_error _ -> ()
-        end
-        else
-          match Hashtbl.find_opt conns fd with
-          | None -> ()
-          | Some conn -> (
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
-              | 0 -> conn.closing <- true
-              | nread -> (
-                  Metrics.add_io t.metrics ~bytes_in:nread ~bytes_out:0;
-                  match Line_buf.feed conn.lines chunk ~off:0 ~len:nread with
-                  | Ok lines ->
-                      List.iter
-                        (fun line ->
-                          if String.trim line <> "" then pending := (conn, line) :: !pending)
-                        lines
-                  | Error e ->
-                      let err =
-                        match e with
-                        | Line_buf.Line_too_long limit ->
-                            P.error ~code:"ERR_LIMIT_LINE"
-                              (Printf.sprintf "request line exceeds the %d-byte limit" limit)
-                        | Line_buf.Buffer_overflow limit ->
-                            P.error ~code:"ERR_LIMIT_INBUF"
-                              (Printf.sprintf
-                                 "connection buffered more than %d bytes without a newline"
-                                 limit)
-                      in
-                      drop_conn t conn err)
-              | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-                -> ()
-              | exception Unix.Unix_error _ -> conn.closing <- true))
-      readable;
-    process_batch (List.rev !pending);
-    maybe_retrain ();
-    (* Close connections that hit EOF, errored, or sent QUIT — once their
-       queued replies have drained. *)
-    let dead =
-      Hashtbl.fold
-        (fun fd conn acc ->
-          if conn.closing && Buffer.length conn.outbuf = 0 then (fd, conn) :: acc else acc)
-        conns []
-    in
-    List.iter
-      (fun (fd, conn) ->
-        (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-        Hashtbl.remove conns fd)
-      dead
-  done;
-  drain_and_close ();
-  List.iter (fun (signal, h) -> try Sys.set_signal signal h with Invalid_argument _ -> ()) prev_handlers;
+            let c, job = batch.(i) in
+            Conn.reply c reply;
+            match job.parsed with Ok { P.req = P.Quit; _ } -> c.Conn.closing <- true | _ -> ())
+          (run_jobs t (Array.map snd batch));
+        maybe_retrain ();
+        (* Close connections that hit EOF, errored, or sent QUIT — once
+           their queued replies have drained. *)
+        Conn.reap front ~finished:(fun c -> c.Conn.closing)
+      done;
+      Conn.close front ~drain_s:2.0);
   (* Persist alongside the metrics dump, so a SIGTERM'd daemon restarted
      with the same --snapshot comes back warm. *)
   (match t.config.snapshot_file with
@@ -1301,8 +1054,7 @@ let serve t =
   | Some path ->
       Metrics.write_file t.metrics path
         ~extra:
-          (List.map (fun (k, v) -> (k, P.Int v)) (Cache.stats t.cache)
-          @ [ ("graphs_registered", P.Int (Registry.n_graphs t.registry)) ]);
+          (cache_fields t @ [ ("graphs_registered", P.Int (Registry.n_graphs t.registry)) ]);
       log t "metrics written to %s" path
   | None -> ());
   Printf.eprintf "glqld: served %d requests (%d errors), shutting down cleanly\n%!" served

@@ -51,6 +51,10 @@ val default_config : config
     sharded router so front and workers report one version). *)
 val version : string
 
+(** The [server] / [version] / [protocol_version] fields that open the
+    HELLO and VERSION replies (the router's HELLO opens with them too). *)
+val identity : (string * Protocol.json) list
+
 type t
 
 val create : config -> t
@@ -64,9 +68,10 @@ val handle_line : t -> string -> string
     profile at the largest requested size) serves every matching request
     in the batch, counted by the [batch_coalesced] STATS counter and
     traced as a [batch.coalesce] span — then the lines fan out on the
-    domain pool. Replies are returned in input order; replies are
-    byte-identical to serving each line alone (modulo cache-hit tags,
-    which report the shared pass as a hit). *)
+    domain pool, except that each write ({!Protocol.classify}) runs
+    alone, in input order. Replies are returned in input order; replies
+    are byte-identical to serving each line alone (modulo cache-hit
+    tags, which report the shared pass as a hit). *)
 val handle_lines : t -> string array -> string array
 
 (** The server's caches (for stats inspection and bench cache-clearing). *)

@@ -37,7 +37,12 @@
    Phase F attacks the RETRAIN-on-stale loop: a MUTATE flood racing the
    idle-loop refits must leave every request structurally answered,
    MODELS holding exactly the trained model, and — once the flood stops
-   — a PREDICT that settles to stale:false on the final generation. *)
+   — a PREDICT that settles to stale:false on the final generation.
+
+   Phase G repeats phase A's connection-governance block against the
+   router front: random-byte lines, slow-loris floods, mid-request
+   disconnects and the connection cap must give the same coded answers
+   through `glqld --router`, counted in the router's own STATS. *)
 
 let failures = ref 0
 
@@ -869,6 +874,125 @@ let phase_f glqld dir =
   Unix.kill daemon Sys.sigterm;
   check "F: clean exit after the retrain race" (wait_exit daemon = Some 0)
 
+(* --- phase G: connection governance on the router front ------------------- *)
+
+(* Phase A's connection-governance block, run against the router front
+   with the same limits: the router's clients go through the same
+   connection layer as the daemon's, so the same faults must give the
+   same coded answers. The STATS assertions read the router's own
+   counters (the "router" object), not the workers'. *)
+let phase_g glqld dir =
+  let sock = Filename.concat dir "fault_g.sock" in
+  let router =
+    spawn_daemon glqld
+      [ "--router"; "--workers"; "2"; "--socket"; sock; "--max-conns"; "4"; "--max-inbuf"; "65536" ]
+      ~stdout_file:(Filename.concat dir "router_g.out")
+  in
+  wait_for_socket sock;
+  check "G: router front socket appears" (Sys.file_exists sock);
+  expect_ok sock "G: baseline PING through the router" "PING";
+  expect_ok sock "G: LOAD petersen through the router" "LOAD g petersen";
+
+  let rng = Random.State.make [| 0x5eed |] in
+  let fd = connect sock in
+  let garbage_ok = ref true in
+  for _ = 1 to 50 do
+    let len = 1 + Random.State.int rng 200 in
+    let line =
+      "Z"
+      ^ String.init len (fun _ ->
+            let c = Char.chr (Random.State.int rng 256) in
+            if c = '\n' || c = '\r' then '.' else c)
+    in
+    send_line fd line;
+    match recv_line fd with
+    | `Line reply ->
+        let coded = String.length reply >= 3 && String.sub reply 0 3 = "ERR" in
+        if not (coded && contains ~needle:"\"code\"" reply) then garbage_ok := false
+    | `Eof | `Timeout -> garbage_ok := false
+  done;
+  close_quiet fd;
+  check "G: 50 random-byte lines all answered with coded ERR" !garbage_ok;
+  expect_ok sock "G: router healthy after garbage" "PING";
+
+  let flood () =
+    let fd = connect sock in
+    let block = String.make 8192 'a' in
+    for _ = 1 to 9 do
+      send_raw fd block
+    done;
+    let got_err =
+      match recv_line fd with
+      | `Line reply -> contains ~needle:"\"code\":\"ERR_LIMIT_INBUF\"" reply
+      | `Eof | `Timeout -> false
+    in
+    let got_eof = recv_eof fd in
+    close_quiet fd;
+    (got_err, got_eof)
+  in
+  let err1, eof1 = flood () in
+  check "G: slow-loris flood gets ERR_LIMIT_INBUF" err1;
+  check "G: flooding connection is closed" eof1;
+  for _ = 1 to 4 do
+    ignore (flood ())
+  done;
+  (match vmrss_kb router with
+  | None -> check "G: router RSS bounded after floods (skipped: no /proc)" true
+  | Some kb ->
+      check (Printf.sprintf "G: router RSS bounded after floods (%d KB < 512 MB)" kb)
+        (kb < 512 * 1024));
+  expect_ok sock "G: router healthy after floods" "PING";
+
+  let fd = connect sock in
+  send_raw fd "QUERY g 'agg_su";
+  close_quiet fd;
+  let fd = connect sock in
+  send_raw fd "PING\nQUERY g 'agg_sum{x2}([1] | E(x1,x2))'";
+  close_quiet fd;
+  ignore (Unix.select [] [] [] 0.1);
+  expect_ok sock "G: router healthy after mid-request disconnects" "PING";
+
+  ignore (Unix.select [] [] [] 0.3);
+  let parked = List.init 4 (fun _ -> connect sock) in
+  ignore (Unix.select [] [] [] 0.2);
+  let fd5 = connect sock in
+  let refused = "G: connection over the cap is refused with ERR_LIMIT_CONNS" in
+  (match recv_line fd5 with
+  | `Line reply ->
+      check refused
+        (contains ~needle:"\"code\":\"ERR_LIMIT_CONNS\"" reply
+        && contains ~needle:"router is at its 4-connection limit" reply)
+  | `Eof | `Timeout -> check refused false);
+  check "G: refused connection sees EOF" (recv_eof fd5);
+  close_quiet fd5;
+  List.iter close_quiet parked;
+  ignore (Unix.select [] [] [] 0.3);
+  expect_ok sock "G: router healthy after connection pile-up" "PING";
+
+  (* The router's own counters: everything after the "router" key up to
+     its member list. *)
+  (match request sock "STATS" with
+  | `Line stats -> (
+      let key = "\"router\":{" in
+      let kl = String.length key and n = String.length stats in
+      let rec find i =
+        if i + kl > n then None else if String.sub stats i kl = key then Some i else find (i + 1)
+      in
+      match find 0 with
+      | None -> check "G: STATS carries the router object" false
+      | Some i ->
+          let counted field =
+            match json_int_field (String.sub stats i (n - i)) field with
+            | Some c -> c >= 1
+            | None -> false
+          in
+          check "G: router counts rejected connections" (counted "conns_rejected");
+          check "G: router counts dropped connections" (counted "conns_dropped"))
+  | `Eof | `Timeout -> check "G: STATS after faults" false);
+
+  Unix.kill router Sys.sigterm;
+  check "G: SIGTERM exits cleanly after all faults" (wait_exit router = Some 0)
+
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   at_exit kill_all;
@@ -888,6 +1012,7 @@ let () =
   phase_d glqld dir;
   phase_e glqld dir;
   phase_f glqld dir;
+  phase_g glqld dir;
   Array.iter
     (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir);

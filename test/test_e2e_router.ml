@@ -371,6 +371,63 @@ let () =
     && contains ~needle:"ERR_BAD_ARG" pr_cross
     && contains ~needle:"co-hashed" pr_cross);
 
+  (* Router STATS labels requests from the grammar: 50 random words
+     sent through the router are each answered with a coded ERR and
+     counted as INVALID, so the router's by_command keys stay inside the
+     command set. *)
+  let known =
+    [
+      "HELLO"; "PING"; "VERSION"; "LOAD"; "GRAPHS"; "GENERATORS"; "QUERY"; "EXPLAIN"; "WL";
+      "KWL"; "HOM"; "MUTATE"; "FEATURIZE"; "TRAIN"; "PREDICT"; "MODELS"; "SAVE"; "RESTORE";
+      "STATS"; "QUIT"; "SHUTDOWN"; "TOPOLOGY"; "ROUTE"; "REPLICA"; "INVALID";
+    ]
+  in
+  let rng = Random.State.make [| 13 |] in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX router_sock);
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let all_err = ref true in
+  for _ = 1 to 50 do
+    let word =
+      String.init (3 + Random.State.int rng 6) (fun _ -> Char.chr (65 + Random.State.int rng 26))
+    in
+    (* A word that happens to be a command is made not to be one. *)
+    let word = if List.mem word known then "X" ^ word else word in
+    Printf.fprintf oc "%s %d\n%!" word (Random.State.int rng 100);
+    let reply = input_line ic in
+    if not (contains ~needle:"ERR {\"code\":\"ERR_PARSE\"" reply) then all_err := false
+  done;
+  Unix.close fd;
+  check "50 random words through the router answered ERR_PARSE" !all_err;
+  let _, stats_words = run router_sock [ "STATS" ] in
+  (* The body of the first {"by_command":{...}} after the "router" key. *)
+  let router_by_command =
+    let after needle s =
+      let nl = String.length needle and n = String.length s in
+      let rec go i =
+        if i + nl > n then None
+        else if String.sub s i nl = needle then Some (String.sub s (i + nl) (n - i - nl))
+        else go (i + 1)
+      in
+      go 0
+    in
+    match Option.bind (after "\"router\":{" stats_words) (after "\"by_command\":{") with
+    | None -> None
+    | Some rest -> Some (String.sub rest 0 (String.index rest '}'))
+  in
+  (match router_by_command with
+  | None -> check "router STATS carries by_command" false
+  | Some body ->
+      let keys =
+        String.split_on_char ',' body
+        |> List.filter_map (fun kv ->
+               match String.split_on_char '"' kv with _ :: k :: _ -> Some k | _ -> None)
+      in
+      check "router by_command keys stay inside the command set"
+        (keys <> [] && List.for_all (fun k -> List.mem k known) keys);
+      check "random words are counted as INVALID"
+        (match json_int_field body "INVALID" with Some c -> c >= 50 | None -> false));
+
   (* Collect the surviving pids, then SIGTERM the router: clean exit,
      front socket unlinked, every child worker reaped. By now several
      0.2s probe intervals have elapsed, so TOPOLOGY must surface live

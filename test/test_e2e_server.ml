@@ -381,6 +381,57 @@ let () =
   Unix.kill daemon2 Sys.sigterm;
   check "restarted daemon exits cleanly" (wait_exit daemon2 = Some 0);
 
+  (* glql_client resends a one-shot request after a dropped connection
+     only when it writes nothing (Protocol.classify), whichever way the
+     request was spelled. A stub server answers HELLO, reads the
+     request, then hangs up; it counts what arrives. *)
+  let stub_sock = Filename.concat dir "stub.sock" in
+  let via_stub n args =
+    let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.bind listener (Unix.ADDR_UNIX stub_sock);
+    Unix.listen listener 8;
+    let pid = spawn client ([ "--socket"; stub_sock ] @ args) ~stdout_file:(out n) in
+    let seen = ref [] in
+    let rec serve () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ ->
+          (match Unix.select [ listener ] [] [] 0.1 with
+          | [], _, _ -> ()
+          | _ ->
+              let fd, _ = Unix.accept listener in
+              let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+              (try
+                 ignore (input_line ic);
+                 Printf.fprintf oc "OK {\"protocol_version\":%d}\n%!" P.protocol_version;
+                 seen := input_line ic :: !seen
+               with End_of_file | Sys_error _ -> ());
+              Unix.close fd);
+          serve ()
+      | _, Unix.WEXITED code -> Some code
+      | _, _ -> None
+    in
+    let code = serve () in
+    Unix.close listener;
+    Sys.remove stub_sock;
+    (code, List.rev !seen)
+  in
+  List.iteri
+    (fun i (args, expected) ->
+      let label = String.concat " " args in
+      let code, seen = via_stub (30 + i) args in
+      check (Printf.sprintf "dropped [%s] exits 1" label) (code = Some 1);
+      check
+        (Printf.sprintf "dropped [%s] arrives %d time(s)" label expected)
+        (List.length seen = expected && List.for_all (fun l -> l = List.hd seen) seen))
+    [
+      ([ "MUTATE"; "g"; "ADD_EDGES"; "0"; "1" ], 1);
+      ([ "--mutate"; "g"; "ADD_EDGES"; "0"; "1" ], 1);
+      ([ "LOAD"; "g"; "petersen" ], 1);
+      ([ "--train"; "m"; "ON"; "g"; "WITH"; "deg"; "TARGET"; src ], 1);
+      ([ "PING" ], 2);
+      ([ "--predict"; "m"; "g" ], 2);
+    ];
+
   (* Tidy up the scratch directory. *)
   Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()) (Sys.readdir dir);
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());

@@ -790,6 +790,63 @@ let test_featurize_deterministic =
       in
       par = seq && gpar = gseq)
 
+(* Writes are batch barriers: a pipelined batch mixing LOAD / MUTATE
+   with reads of the same graph must answer exactly as the same lines
+   sent one at a time, whatever the pool size. Only the cache tags may
+   differ: a batch shares passes that lone lines each compute. *)
+module Server = Glql_server.Server
+
+let strip_cache_tags s =
+  let hit = "_cache\":\"hit\"" in
+  let k = String.length hit and n = String.length s in
+  let b = Buffer.create n in
+  let i = ref 0 in
+  while !i < n do
+    if !i + k <= n && String.sub s !i k = hit then begin
+      Buffer.add_string b "_cache\":\"miss\"";
+      i := !i + k
+    end
+    else begin
+      Buffer.add_char b s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+let test_writes_are_barriers () =
+  let deg = "QUERY g 'agg_sum{x2}([1] | E(x1,x2))'" in
+  let two_hop = "QUERY g 'agg_sum{x2}(agg_sum{x1}([1] | E(x2,x1)) | E(x1,x2))'" in
+  let batch =
+    [|
+      "LOAD g cycle12";
+      deg;
+      "WL g";
+      "MUTATE g ADD_EDGES 0 6";
+      deg;
+      two_hop;
+      "WL g";
+      "MUTATE g SET_LABEL 3 2.0 DEL_EDGES 0 6";
+      "WL g";
+      deg;
+      "MUTATE g ADD_EDGES 1 7 2 8";
+      two_hop;
+      deg;
+      "WL g";
+    |]
+  in
+  let fresh () = Server.create { Server.default_config with Server.socket_path = None } in
+  let batched = fresh () and reference = fresh () in
+  for round = 1 to 100 do
+    let got = Server.handle_lines batched batch in
+    let want = Array.map (Server.handle_line reference) batch in
+    Array.iteri
+      (fun i w ->
+        if not (SP.is_ok w) then Alcotest.failf "round %d: %S failed: %s" round batch.(i) w;
+        if strip_cache_tags w <> strip_cache_tags got.(i) then
+          Alcotest.failf "round %d: batched %S answered %s, alone %s" round batch.(i) got.(i) w)
+      want
+  done
+
 let () =
   Alcotest.run "glql-parallel"
     [
@@ -833,4 +890,5 @@ let () =
           case "graph regressor deterministic" test_erm_regressor_deterministic;
         ] );
       ("featurize", [ test_featurize_deterministic ]);
+      ("server", [ case "writes are batch barriers" test_writes_are_barriers ]);
     ]
